@@ -73,6 +73,9 @@ func TestPrimaryBackupDuplicatesOnFailover(t *testing.T) {
 
 	clk := c.Clock()
 	done := make(chan action.Value, 1)
+	// Hold the clock while spawning, so the submission and the crash timer
+	// both start at the same instant whatever the host's scheduling.
+	clk.Enter()
 	clk.Go(func() { done <- c.Client.SubmitUntilSuccess(action.NewRequest("transfer", "acct")) })
 
 	// Crash the primary inside the duplication window: it has executed but
@@ -82,6 +85,7 @@ func TestPrimaryBackupDuplicatesOnFailover(t *testing.T) {
 		c.CrashServer(0)
 		c.cdet.SetSuspected("replica-0", true)
 	})
+	clk.Exit()
 
 	v := <-done
 	if v == "" {

@@ -166,15 +166,19 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	var clientDet fd.Detector
 	switch cfg.Detector {
 	case DetectorHeartbeat:
+		// Register every detector endpoint before starting any detector: a
+		// started detector heartbeats its peers at once, and a constructor
+		// running unattached to the clock races it to the next Register.
 		for _, id := range ids {
-			ep := net.Register(fd.FDEndpoint(id))
-			c.fdEPs = append(c.fdEPs, ep)
-			hb := fd.NewHeartbeat(id, ep, ids, fd.HeartbeatConfig{Interval: cfg.HeartbeatInterval})
+			c.fdEPs = append(c.fdEPs, net.Register(fd.FDEndpoint(id)))
+		}
+		cep := net.Register(fd.FDEndpoint(clientID))
+		for i, id := range ids {
+			hb := fd.NewHeartbeat(id, c.fdEPs[i], ids, fd.HeartbeatConfig{Interval: cfg.HeartbeatInterval})
 			hb.Start()
 			c.hbs = append(c.hbs, hb)
 			detFor[id] = hb
 		}
-		cep := net.Register(fd.FDEndpoint(clientID))
 		chb := fd.NewHeartbeat(clientID, cep, ids, fd.HeartbeatConfig{Interval: cfg.HeartbeatInterval})
 		chb.Start()
 		c.hbs = append(c.hbs, chb)

@@ -6,6 +6,7 @@ import (
 
 	"xability/internal/action"
 	"xability/internal/event"
+	"xability/internal/simnet"
 )
 
 // seededRun captures everything a replay must reproduce bit-for-bit.
@@ -23,9 +24,15 @@ type seededRun struct {
 // otherwise it is a nice multi-request run.
 func runSeededScenario(t *testing.T, seed int64, crash bool) seededRun {
 	t.Helper()
-	tc := newBankCluster(t, ClusterConfig{Replicas: 3, Seed: seed})
-	clk := tc.Clock()
+	// Build attached and observe attached: the cluster's start-up and the
+	// reads below then sit at fixed points of the virtual schedule. A
+	// detached builder or reader lets the clock run periodic loops
+	// (heartbeats, cleaners) for as long as the host takes to get there.
+	net := simnet.New(simnet.Config{Seed: seed, MaxDelay: 200 * time.Microsecond})
+	clk := net.Clock()
 	clk.Enter()
+	defer clk.Exit()
+	tc := newBankCluster(t, ClusterConfig{Replicas: 3, Seed: seed, Network: net})
 	if crash {
 		tc.Env.SetFailures("debit", 1.0, 6, 0)
 		clk.Go(func() {
@@ -39,7 +46,6 @@ func runSeededScenario(t *testing.T, seed int64, crash bool) seededRun {
 		tc.Client.SubmitUntilSuccess(action.NewRequest("read", "acct"))
 		tc.Client.SubmitUntilSuccess(action.NewRequest("token", "t"))
 	}
-	clk.Exit()
 	tc.Net.Quiesce()
 	_, replies := tc.Client.Log()
 	return seededRun{

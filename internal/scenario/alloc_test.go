@@ -32,8 +32,8 @@ func TestNiceRunReusedAllocBudget(t *testing.T) {
 		t.Fatal("nice not registered")
 	}
 	scratch := &runScratch{}
-	executeTracedWith(sc, 1, nil, nil, scratch)
-	avg := testing.AllocsPerRun(20, func() { executeTracedWith(sc, 2, nil, nil, scratch) })
+	run(sc, 1, RunOptions{}, scratch)
+	avg := testing.AllocsPerRun(20, func() { run(sc, 2, RunOptions{}, scratch) })
 	if avg > 320 {
 		t.Fatalf("reused-network nice run allocates %.0f objects, budget 320", avg)
 	}
@@ -56,8 +56,8 @@ func TestBatchedRunAllocBudget(t *testing.T) {
 		t.Fatalf("batched run allocates %.0f objects, budget 950", avg)
 	}
 	scratch := &runScratch{}
-	executeTracedWith(sc, 1, nil, nil, scratch)
-	avg = testing.AllocsPerRun(20, func() { executeTracedWith(sc, 2, nil, nil, scratch) })
+	run(sc, 1, RunOptions{}, scratch)
+	avg = testing.AllocsPerRun(20, func() { run(sc, 2, RunOptions{}, scratch) })
 	if avg > 900 {
 		t.Fatalf("reused-network batched run allocates %.0f objects, budget 900", avg)
 	}

@@ -7,9 +7,7 @@ import (
 
 	"xability/internal/action"
 	"xability/internal/core"
-	"xability/internal/event"
 	"xability/internal/shard"
-	"xability/internal/verify"
 	"xability/internal/workload"
 )
 
@@ -24,148 +22,52 @@ func openLoopSpec(sc Scenario) workload.OpenLoopSpec {
 	return spec
 }
 
-// splitArrivals turns an arrival schedule into parallel offset/request
-// slices (the Station.Drive calling convention).
-func splitArrivals(arrivals []workload.Arrival) ([]time.Duration, []action.Request) {
-	ats := make([]time.Duration, len(arrivals))
-	reqs := make([]action.Request, len(arrivals))
-	for i, a := range arrivals {
-		ats[i], reqs[i] = a.At, a.Req
-	}
-	return ats, reqs
-}
-
-// executeOpenLoop runs an open-loop scenario on the single-cluster
-// runtime: a seeded arrival schedule of independent single-request
-// sessions driven through one core.Station, instead of the closed loop's
-// one-at-a-time client. Offered load is therefore fixed by the spec, not
-// by service latency — the run measures what the protocol does when work
-// keeps arriving regardless of how fast it finishes (saturation, queueing,
-// batching leverage). Verification runs under the concurrent per-request
-// relaxation: completions interleave, so there is no sequential form to
-// check, but every session must still be exactly-once on its own.
-func executeOpenLoop(sc Scenario, seed int64, scratch *runScratch) Outcome {
-	spec := openLoopSpec(sc)
-	arrivals := workload.GenerateOpenLoop(spec, seed)
-	ats, reqs := splitArrivals(arrivals)
-
-	bank := workload.NewBank(spec.Accounts, sc.Opening)
-	netcfg := netConfig(sc, seed)
-	c := core.NewCluster(core.ClusterConfig{
-		Replicas:  sc.Replicas,
-		Seed:      seed,
-		Net:       netcfg,
-		Network:   scratch.take(netcfg),
-		Consensus: sc.Consensus,
-		Detector:  sc.Detector,
-		Registry:  workload.Registry(),
-		Setup:     bank.Setup(),
-		Batch:     sc.Batch,
-		Costs:     sc.Costs,
-
-		HeartbeatInterval: sc.HeartbeatInterval,
-	})
-	defer c.Stop()
-	for _, f := range sc.Failures {
-		c.Env.SetFailures(f.Action, f.Prob, f.Budget, f.AfterProb)
-	}
-	st := c.OpenStation()
-
-	clk := c.Clock()
-	clk.Enter()
-	timedOut, disarm := watchdog(sc, clk, c.Net.Close)
-	if sc.Plan != nil {
-		sc.Plan.Apply(c)
-	}
-	start := clk.Now()
-	completed := st.Drive(ats, reqs)
-	disarm()
-	simTime := clk.Now() - start
-	settleRun(sc, clk, c.Env.PendingOutcome)
-	// Snapshots at the settle horizon, while attached — see
-	// executeXAbility for why this pins determinism.
-	msgs := c.Net.TotalSent()
-	h := c.Observer.History()
-	effects := auditEffects(reqs, c.Env.InForceTotal)
-	lat := workload.SummarizeLatencies(st.Latencies())
-	snap := sc.Net.Metrics.Snapshot()
-	c.Stop()
-	clk.Exit()
-	c.Net.Quiesce()
-
-	logged, replies := st.Log()
-	rep := verify.Check(verify.Run{
-		Registry:       workload.Registry(),
-		Requests:       logged,
-		Replies:        replies,
-		History:        h,
-		SubmitAttempts: st.Attempts(),
-		Concurrent:     true,
-	})
-	o := outcomeFrom(sc, seed, reqs, h, completed == len(reqs))
-	o.TimedOut = timedOut()
-	o.XAble = rep.R3Strict || rep.R3Projected
-	o.Report = rep
-	o.Attempts = st.Attempts()
-	o.Messages = msgs
-	o.SimTime = simTime
-	o.EffectsInForce = effects
-	o.Latency = lat
-	o.Obs = snap
-	return o
-}
-
-// executeOpenLoopSharded is the sharded open-loop run: the arrival
-// schedule is partitioned by ring owner up front and each group gets its
-// own station, so sessions flow straight to their key's group without the
-// router's per-request goroutine discipline serializing against the
-// arrival pacing. The verdict is per-shard concurrent verification plus a
-// routing audit over the completion logs (every session completed on its
-// key's ring owner, no session in two groups).
-func executeOpenLoopSharded(sc Scenario, seed int64, scratch *runScratch) Outcome {
-	spec := openLoopSpec(sc)
-	arrivals := workload.GenerateOpenLoop(spec, seed)
-
-	c := shard.New(shardConfig(sc, seed, scratch, spec.Accounts))
-	defer c.Stop()
-	for s := 0; s < c.Shards(); s++ {
-		for _, f := range sc.Failures {
-			c.Group(s).Env.SetFailures(f.Action, f.Prob, f.Budget, f.AfterProb)
+// partition splits an arrival schedule into one station's worth per
+// group — parallel offset/request slices, the Station.Drive calling
+// convention — and returns every request in arrival order. On a sharded
+// deployment each arrival goes to its key's ring owner up front, so
+// sessions flow straight to their group without the router's
+// per-request goroutine discipline serializing against the arrival
+// pacing. A single cluster takes the whole schedule in exactly sized
+// slices, its request slice doubling as the full list.
+func (d deployment) partition(arrivals []workload.Arrival) (ats [][]time.Duration, reqs [][]action.Request, all []action.Request) {
+	ats = make([][]time.Duration, len(d.groups))
+	reqs = make([][]action.Request, len(d.groups))
+	if d.sh == nil {
+		ats[0] = make([]time.Duration, len(arrivals))
+		reqs[0] = make([]action.Request, len(arrivals))
+		for i, a := range arrivals {
+			ats[0][i], reqs[0][i] = a.At, a.Req
 		}
+		return ats, reqs, reqs[0]
 	}
-
-	shards := c.Shards()
-	ats := make([][]time.Duration, shards)
-	sreqs := make([][]action.Request, shards)
-	all := make([]action.Request, 0, len(arrivals))
+	all = make([]action.Request, 0, len(arrivals))
 	for _, a := range arrivals {
-		s := c.Ring().Owner(shard.InputKey(a.Req))
+		s := d.sh.Ring().Owner(shard.InputKey(a.Req))
 		ats[s] = append(ats[s], a.At)
-		sreqs[s] = append(sreqs[s], a.Req)
+		reqs[s] = append(reqs[s], a.Req)
 		all = append(all, a.Req)
 	}
-	stations := make([]*core.Station, shards)
-	for s := range stations {
-		stations[s] = c.Group(s).OpenStation()
-	}
+	return ats, reqs, all
+}
 
-	clk := c.Clock()
-	clk.Enter()
-	timedOut, disarm := watchdog(sc, clk, c.CloseNets)
-	if sc.Plan != nil {
-		sc.Plan.Apply(shardedTarget{c})
+// driveStations runs each group's arrivals through its station and
+// returns the completed-session count. A single station drives on the
+// caller; a sharded deployment runs one driver goroutine per group and
+// joins on the shared clock's condition (the Drive goroutines always hold
+// pending timers, so the untimed wait cannot starve the virtual clock).
+func (d deployment) driveStations(stations []*core.Station, ats [][]time.Duration, reqs [][]action.Request) int {
+	if d.sh == nil {
+		return stations[0].Drive(ats[0], reqs[0])
 	}
-	start := clk.Now()
-	// One driver goroutine per group; join on the shared clock's condition
-	// (the Drive goroutines always hold pending timers, so the untimed
-	// wait cannot starve the virtual clock).
+	clk := d.clock()
 	var mu sync.Mutex
 	cond := clk.NewCond(&mu)
 	done, completed := 0, 0
 	for s := range stations {
 		s := s
 		clk.Go(func() {
-			n := stations[s].Drive(ats[s], sreqs[s])
+			n := stations[s].Drive(ats[s], reqs[s])
 			mu.Lock()
 			done++
 			completed += n
@@ -178,72 +80,19 @@ func executeOpenLoopSharded(sc Scenario, seed int64, scratch *runScratch) Outcom
 		cond.Wait()
 	}
 	mu.Unlock()
-	disarm()
-	simTime := clk.Now() - start
-	settleRun(sc, clk, func() int {
-		n := 0
-		for s := 0; s < c.Shards(); s++ {
-			n += c.Group(s).Env.PendingOutcome()
-		}
-		return n
-	})
-	// Snapshots at the settle horizon, while attached (see
-	// executeXAbility).
-	msgs := c.TotalSent()
-	hs := c.Histories()
-	effects := auditEffects(all, c.EffectsInForce)
-	var lats []time.Duration
-	for _, st := range stations {
-		lats = append(lats, st.Latencies()...)
-	}
-	snap := sc.Net.Metrics.Snapshot()
-	c.Stop()
-	clk.Exit()
-	c.Quiesce()
-
-	rep := openLoopShardReport(c, stations, hs)
-	var merged event.History
-	for _, h := range hs {
-		merged = append(merged, h...)
-	}
-	o := outcomeFrom(sc, seed, all, merged, completed == len(arrivals))
-	o.TimedOut = timedOut()
-	o.Shards = sc.Shards
-	o.ShardReports = rep.Shards
-	o.RoutingExact = rep.RoutingExact
-	o.XAble = rep.XAble()
-	for _, st := range stations {
-		o.Attempts += st.Attempts()
-	}
-	o.Messages = msgs
-	o.SimTime = simTime
-	o.EffectsInForce = effects
-	o.Latency = workload.SummarizeLatencies(lats)
-	o.Obs = snap
-	return o
+	return completed
 }
 
-// openLoopShardReport is the sharded open-loop verdict: each group's
-// history verified against its station's completion log under the
-// concurrent relaxation, plus the routing audit. The router's Route log
-// is empty for open-loop runs (sessions bypass the router), so the audit
+// auditRing is the open-loop routing audit. The router's Route log is
+// empty for open-loop runs (sessions bypass the router), so the audit
 // re-derives ownership from the ring: every completed session must have
 // run on its key's owner, and no request ID may complete in two groups.
-func openLoopShardReport(c *shard.Cluster, stations []*core.Station, hs []event.History) shard.Report {
-	rep := shard.Report{RoutingExact: true}
+func (d deployment) auditRing(rep *shard.Report, logs []completionLog) {
 	seen := make(map[string]int)
-	for s, st := range stations {
-		logged, replies := st.Log()
-		rep.Shards = append(rep.Shards, verify.Check(verify.Run{
-			Registry:       workload.Registry(),
-			Requests:       logged,
-			Replies:        replies,
-			History:        hs[s],
-			SubmitAttempts: st.Attempts(),
-			Concurrent:     true,
-		}))
+	for s, l := range logs {
+		logged, _ := l.Log()
 		for _, req := range logged {
-			if want := c.Ring().Owner(shard.InputKey(req)); want != s {
+			if want := d.sh.Ring().Owner(shard.InputKey(req)); want != s {
 				rep.RoutingExact = false
 				rep.Details = append(rep.Details, fmt.Sprintf(
 					"routing: %s completed on shard %d, ring owner is %d", req.ID, s, want))
@@ -257,5 +106,4 @@ func openLoopShardReport(c *shard.Cluster, stations []*core.Station, hs []event.
 			}
 		}
 	}
-	return rep
 }

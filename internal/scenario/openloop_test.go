@@ -78,3 +78,23 @@ func TestBatchedDeterministicReplay(t *testing.T) {
 		}
 	}
 }
+
+// TestOpenLoopHonoursDurable runs the single-cluster open loop with stable
+// storage: the replicas must write their logs and the run must stay
+// exactly-once.
+func TestOpenLoopHonoursDurable(t *testing.T) {
+	sc, ok := Get("open-loop-nice")
+	if !ok {
+		t.Fatal("open-loop-nice not registered")
+	}
+	sc.Durable = true
+	for seed := int64(1); seed <= 32; seed++ {
+		o := Execute(sc, seed)
+		if !o.XAble || !o.Replied {
+			t.Errorf("seed %d: xable=%v replied=%v report=%+v", seed, o.XAble, o.Replied, o.Report)
+		}
+		if o.WALAppends == 0 {
+			t.Errorf("seed %d: durable open-loop run appended nothing to its logs", seed)
+		}
+	}
+}

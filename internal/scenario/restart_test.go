@@ -130,7 +130,7 @@ func TestRestartOutcomesByteDeterministic(t *testing.T) {
 		scratch := &runScratch{}
 		for seed := int64(1); seed <= 5; seed++ {
 			fresh := Execute(sc, seed)
-			reused := executeTracedWith(sc, seed, nil, nil, scratch)
+			reused := run(sc, seed, RunOptions{}, scratch)
 			fresh.History, reused.History = nil, nil
 			if !reflect.DeepEqual(fresh, reused) {
 				t.Errorf("%s seed %d: reused-network outcome differs from fresh run:\nfresh:  %+v\nreused: %+v",
@@ -139,6 +139,26 @@ func TestRestartOutcomesByteDeterministic(t *testing.T) {
 		}
 		if scratch.net == nil {
 			t.Errorf("%s: scratch abandoned its network (Reset failed); reuse never engaged", name)
+		}
+	}
+}
+
+// TestReplayAuditCountsRepeatedSubmissions pins the duplicate-replay
+// audit's rule: a pair is a duplicate only when more of its effects are in
+// force than the workload submitted. Fault-free workloads that submit the
+// same (action, input) pair several times legitimately hold one effect per
+// submission and must audit clean.
+func TestReplayAuditCountsRepeatedSubmissions(t *testing.T) {
+	for _, name := range []string{"batch-nice", "sequence"} {
+		sc, ok := Get(name)
+		if !ok {
+			t.Fatalf("scenario %q not registered", name)
+		}
+		for seed := int64(1); seed <= 8; seed++ {
+			if o := Execute(sc, seed); o.ReplayDuplicates != 0 {
+				t.Errorf("%s seed %d: %d duplicate-replay pairs in a fault-free run, want 0",
+					name, seed, o.ReplayDuplicates)
+			}
 		}
 	}
 }

@@ -25,7 +25,7 @@ func TestReusedNetworkBitEqualOutcomes(t *testing.T) {
 		scratch := &runScratch{}
 		for seed := int64(1); seed <= 5; seed++ {
 			fresh := Execute(sc, seed)
-			reused := executeTracedWith(sc, seed, nil, nil, scratch)
+			reused := run(sc, seed, RunOptions{}, scratch)
 			fresh.History, reused.History = nil, nil
 			if !reflect.DeepEqual(fresh, reused) {
 				t.Errorf("%s seed %d: reused-network outcome differs from fresh run:\nfresh:  %+v\nreused: %+v",
@@ -56,7 +56,7 @@ func TestReusedShardedNetworksBitEqualOutcomes(t *testing.T) {
 		scratch := &runScratch{}
 		for seed := int64(1); seed <= 5; seed++ {
 			fresh := Execute(sc, seed)
-			reused := executeTracedWith(sc, seed, nil, nil, scratch)
+			reused := run(sc, seed, RunOptions{}, scratch)
 			fresh.History, reused.History = nil, nil
 			if !reflect.DeepEqual(fresh, reused) {
 				t.Errorf("%s seed %d: reused-network outcome differs from fresh run:\nfresh:  %+v\nreused: %+v",

@@ -253,10 +253,11 @@ type Outcome struct {
 	// cleanup work).
 	Cancels int
 	// ReplayDuplicates counts workload (action, input) pairs whose side
-	// effect is in force more than once at the settle instant — the
-	// duplicate-replay audit. A restarted replica that re-applied an
-	// effect it had already applied before crashing shows up here even
-	// when the client-visible verdicts all pass.
+	// effect is in force at the settle instant more times than the
+	// workload submitted the pair — the duplicate-replay audit. A
+	// restarted replica that re-applied an effect it had already applied
+	// before crashing shows up here even when the client-visible verdicts
+	// all pass.
 	ReplayDuplicates int
 
 	// WALAppends and WALSyncTime report stable-storage activity for
@@ -305,47 +306,12 @@ type Outcome struct {
 	// Report is the R2–R4 verdict; meaningful for the x-ability protocol
 	// only (baselines are judged by XAble and the audit).
 	Report verify.Report
-	// Schedule is the recorded delivery log (ExecuteTraced runs only; nil
+	// Schedule is the recorded delivery log (runs with RunOptions.Record; nil
 	// otherwise).
 	Schedule *schedule.Log
 	// Counterexample is the rendered minimal failing trace; the shrinker
 	// (internal/shrink) fills it on the outcome of a minimized run.
 	Counterexample string
-}
-
-// Execute runs one scenario on one seed and returns its outcome. Runs are
-// deterministic: equal (scenario, seed) pairs yield equal outcomes, which
-// is what makes sweep distributions replayable.
-func Execute(sc Scenario, seed int64) Outcome {
-	return ExecuteTraced(sc, seed, nil, nil)
-}
-
-// ExecuteTraced is Execute with the schedule plane armed: when record is
-// non-nil the network logs every delivery decision into it (and the
-// outcome carries it as Schedule); when replay is non-nil the run
-// re-executes the given log instead of drawing delays from the seed —
-// the record/replay/shrink pipeline's entry point. Either may be nil.
-func ExecuteTraced(sc Scenario, seed int64, record *schedule.Log, replay *schedule.Replay) Outcome {
-	return executeTracedWith(sc, seed, record, replay, nil)
-}
-
-// ExecuteObserved is Execute with the observability plane armed: the run's
-// networks stamp counters and latency observations into run.Metrics and
-// request-lifecycle spans into run.Trace (either may be nil), and the
-// metrics snapshot — read at the same pinned settle-horizon instant as the
-// run's other observations — lands in Outcome.Obs. Observation does not
-// perturb the schedule: an observed run's verdict fields are byte-equal to
-// its unobserved twin's.
-func ExecuteObserved(sc Scenario, seed int64, run *obs.Run) Outcome {
-	return executeObservedWith(sc, seed, nil, nil, nil, run)
-}
-
-// ExecuteReplayObserved is ExecuteTraced under observation: the run
-// re-executes the given schedule log while stamping run's metrics and
-// trace. The shrinker uses it to annotate a minimal counterexample with
-// the request timeline of exactly the minimized schedule.
-func ExecuteReplayObserved(sc Scenario, seed int64, replay *schedule.Replay, run *obs.Run) Outcome {
-	return executeObservedWith(sc, seed, nil, replay, nil, run)
 }
 
 // runScratch is a sweep worker's reusable substrate: one network — with
@@ -363,67 +329,27 @@ type runScratch struct {
 	groups []*simnet.Network
 }
 
-// take returns a network ready for a seeded run: the recycled one when
-// Reset succeeds, nil (build fresh) otherwise. A network whose previous
-// run failed to wind down is abandoned rather than risked.
-func (s *runScratch) take(cfg simnet.Config) *simnet.Network {
-	if s == nil {
-		return nil
-	}
-	if s.net != nil {
-		if s.net.Reset(cfg) {
-			return s.net
-		}
-		s.net = nil
-		return nil
-	}
-	s.net = simnet.New(cfg)
-	return s.net
-}
-
-// executeTracedWith is the common run path: ExecuteTraced with an optional
-// per-worker scratch (sweep runs pass one; single runs pass nil).
-func executeTracedWith(sc Scenario, seed int64, record *schedule.Log, replay *schedule.Replay, scratch *runScratch) Outcome {
-	return executeObservedWith(sc, seed, record, replay, scratch, nil)
-}
-
-// executeObservedWith is executeTracedWith with the observability plane:
-// run's metrics and trace are handed to the run's network(s) exactly as
-// record/replay are (the sharded runtime keeps them — its groups share one
-// clock, so one registry folds their deliveries deterministically — even
-// though it drops the schedule hooks).
-func executeObservedWith(sc Scenario, seed int64, record *schedule.Log, replay *schedule.Replay, scratch *runScratch, run *obs.Run) Outcome {
-	sc = sc.withDefaults().Materialize(seed)
-	sc.Net.Record, sc.Net.Replay = record, replay
-	if run != nil {
-		sc.Net.Metrics, sc.Net.Trace = run.Metrics, run.Trace
-	}
-	reqs := sc.Requests
-	if sc.Workload != nil {
-		reqs = workload.Generate(*sc.Workload, seed)
-	}
-	var o Outcome
+// network returns the run's network with the caller attached to its
+// clock, so the deployment built on it starts inside the virtual schedule
+// (see deploy): the recycled one when Reset succeeds, else a fresh one. A
+// network whose previous run failed to wind down is abandoned rather than
+// risked.
+func (s *runScratch) network(cfg simnet.Config) *simnet.Network {
+	var n *simnet.Network
 	switch {
-	case sc.Protocol == XAbility && sc.Shards > 0:
-		// The sharded runtime is outside the record/replay plane (see
-		// Scenario.Shards): drop the hooks rather than hand one log to
-		// several racing networks. Reuse works per group: the scratch
-		// recycles one network per shard via simnet.ResetShared.
-		sc.Net.Record, sc.Net.Replay = nil, nil
-		if sc.OpenLoop != nil {
-			o = executeOpenLoopSharded(sc, seed, scratch)
-		} else {
-			o = executeSharded(sc, seed, reqs, scratch)
-		}
-	case sc.Protocol == XAbility && sc.OpenLoop != nil:
-		o = executeOpenLoop(sc, seed, scratch)
-	case sc.Protocol == XAbility:
-		o = executeXAbility(sc, seed, reqs, scratch)
+	case s == nil:
+		n = simnet.New(cfg)
+	case s.net == nil:
+		s.net = simnet.New(cfg)
+		n = s.net
+	case s.net.Reset(cfg):
+		n = s.net
 	default:
-		o = executeBaseline(sc, seed, reqs, scratch)
+		s.net = nil
+		n = simnet.New(cfg)
 	}
-	o.Schedule = record
-	return o
+	n.Clock().Enter()
+	return n
 }
 
 // watchdog arms the scenario's Deadline on a freshly started cluster: at
@@ -476,115 +402,22 @@ func settleRun(sc Scenario, clk vclock.Clock, pending func() int) {
 	}
 }
 
-func executeXAbility(sc Scenario, seed int64, reqs []action.Request, scratch *runScratch) Outcome {
-	bank := workload.NewBank(sc.Accounts, sc.Opening)
-	netcfg := netConfig(sc, seed)
-	c := core.NewCluster(core.ClusterConfig{
-		Replicas:  sc.Replicas,
-		Seed:      seed,
-		Net:       netcfg,
-		Network:   scratch.take(netcfg),
-		Consensus: sc.Consensus,
-		Detector:  sc.Detector,
-		Registry:  workload.Registry(),
-		Setup:     bank.Setup(),
-		Batch:     sc.Batch,
-		Costs:     sc.Costs,
-		Durable:   sc.Durable,
-		WALSync:   sc.WALSync,
-
-		WALSnapshotSync:   sc.WALSnapshotSync,
-		WALCompact:        sc.WALCompact,
-		HeartbeatInterval: sc.HeartbeatInterval,
-	})
-	defer c.Stop()
-	for _, f := range sc.Failures {
-		c.Env.SetFailures(f.Action, f.Prob, f.Budget, f.AfterProb)
-	}
-
-	clk := c.Clock()
-	clk.Enter()
-	timedOut, disarm := watchdog(sc, clk, c.Net.Close)
-	if sc.Plan != nil {
-		sc.Plan.Apply(c)
-	}
-	start := clk.Now()
-	replied := true
-	for _, r := range reqs {
-		if c.Client.SubmitUntilSuccess(r) == "" {
-			replied = false
-		}
-	}
-	disarm()
-	simTime := clk.Now() - start
-	settleRun(sc, clk, c.Env.PendingOutcome)
-	// Every observation — send counter, history, side-effect audit — is
-	// snapshotted at the settle horizon, a fixed virtual instant, while
-	// this goroutine is still attached: it was just woken by the pump, so
-	// every protocol goroutine is blocked in a clock primitive and the
-	// observed state cannot move. After Exit the clock free-runs, and
-	// periodic activity (heartbeats, cleaner-paced cancellations) would
-	// race the reads in wall time, making outcomes nondeterministic.
-	msgs := c.Net.TotalSent()
-	h := c.Observer.History()
-	effects := auditEffects(reqs, c.Env.InForceTotal)
-	dups := auditDuplicates(reqs, c.Env.InForceTotal)
-	wstats := c.WALStats()
-	snap := sc.Net.Metrics.Snapshot() // nil-safe; nil when unobserved
-	// Stop the cluster while still attached: once this goroutine Exits, a
-	// live cluster's periodic loops (cleaners, heartbeats) would free-run
-	// on the virtual clock at CPU speed, racing the verdict computation
-	// for the host's cores. Stopping first turns the post-Exit schedule
-	// into a bounded exit cascade. (Stop is non-blocking and idempotent;
-	// the deferred Stop becomes a no-op.)
-	c.Stop()
-	clk.Exit()
-	c.Net.Quiesce()
-
-	logged, replies := c.Client.Log()
-	rep := verify.Check(verify.Run{
-		Registry:       workload.Registry(),
-		Requests:       logged,
-		Replies:        replies,
-		History:        h,
-		SubmitAttempts: c.Client.Attempts(),
-	})
-	o := outcomeFrom(sc, seed, reqs, h, replied)
-	o.TimedOut = timedOut()
-	o.XAble = rep.R3Strict || rep.R3Projected
-	o.Report = rep
-	o.Attempts = c.Client.Attempts()
-	o.Messages = msgs
-	o.SimTime = simTime
-	o.EffectsInForce = effects
-	o.ReplayDuplicates = dups
-	o.WALAppends = wstats.Appends
-	o.WALSyncTime = wstats.SyncTime
-	o.WALCompactions = wstats.Compactions
-	o.WALLiveRecords = wstats.LiveRecords
-	o.Obs = snap
-	return o
-}
-
 func executeBaseline(sc Scenario, seed int64, reqs []action.Request, scratch *runScratch) Outcome {
 	scheme := baseline.PrimaryBackup
 	if sc.Protocol == Active {
 		scheme = baseline.Active
 	}
-	netcfg := netConfig(sc, seed)
 	c := baseline.NewCluster(baseline.ClusterConfig{
 		Scheme:    scheme,
 		Replicas:  sc.Replicas,
 		Seed:      seed,
-		Net:       netcfg,
-		Network:   scratch.take(netcfg),
+		Network:   scratch.network(netConfig(sc, seed)),
 		Handler:   DivergingHandler(),
 		SyncDelay: sc.SyncDelay,
 	})
 	defer c.Stop()
 
 	clk := c.Clock()
-	clk.Enter()
 	timedOut, disarm := watchdog(sc, clk, c.Net.Close)
 	if sc.Plan != nil {
 		sc.Plan.Apply(c)
@@ -599,7 +432,7 @@ func executeBaseline(sc Scenario, seed int64, reqs []action.Request, scratch *ru
 	disarm()
 	simTime := clk.Now() - start
 	clk.Sleep(settleFor(sc))
-	msgs := c.Net.TotalSent() // fixed virtual instant; see executeXAbility
+	msgs := c.Net.TotalSent() // fixed virtual instant; see runXAbility
 	snap := sc.Net.Metrics.Snapshot()
 	clk.Exit()
 	c.Net.Quiesce()
@@ -620,12 +453,12 @@ func executeBaseline(sc Scenario, seed int64, reqs []action.Request, scratch *ru
 	// Snapshot history and audit at a pinned virtual instant: the
 	// zero-length sleep returns via the pump, which only fires when every
 	// other attached goroutine is blocked — so nothing is mid-step while
-	// the snapshots are read (see executeXAbility).
+	// the snapshots are read (see runXAbility).
 	clk.Enter()
 	clk.Sleep(0)
 	trace := c.Observer.History()
 	effects := audit()
-	c.Stop() // while attached; see executeXAbility
+	c.Stop() // while attached; see runXAbility
 	clk.Exit()
 	o := outcomeFrom(sc, seed, reqs, trace, replied)
 	o.TimedOut = timedOut()
@@ -642,52 +475,6 @@ func executeBaseline(sc Scenario, seed int64, reqs []action.Request, scratch *ru
 	o.EffectsInForce = effects
 	o.Obs = snap
 	return o
-}
-
-// auditEffects sums the environment audit over the workload's distinct
-// raw (action, input) pairs: inForce already sums over every round tag of
-// a pair, so a repeated request must be counted once, not per submission —
-// the dedup rule both the single-cluster and sharded audits share.
-func auditEffects(reqs []action.Request, inForce func(action.Name, action.Value) int) int {
-	type pair struct {
-		a  action.Name
-		iv action.Value
-	}
-	counted := make(map[pair]bool, len(reqs))
-	total := 0
-	for _, r := range reqs {
-		p := pair{r.Action, r.Input}
-		if !counted[p] {
-			counted[p] = true
-			total += inForce(r.Action, r.Input)
-		}
-	}
-	return total
-}
-
-// auditDuplicates counts the workload's distinct (action, input) pairs
-// whose effect is in force more than once — each such pair is a broken R2:
-// some replica applied the effect a second time without cancelling the
-// first. This is the restart plane's sharpest probe: a replica that
-// replays its log wrongly (re-executing instead of re-folding) duplicates
-// effects that the client-visible reply path never inspects.
-func auditDuplicates(reqs []action.Request, inForce func(action.Name, action.Value) int) int {
-	type pair struct {
-		a  action.Name
-		iv action.Value
-	}
-	counted := make(map[pair]bool, len(reqs))
-	dups := 0
-	for _, r := range reqs {
-		p := pair{r.Action, r.Input}
-		if !counted[p] {
-			counted[p] = true
-			if inForce(r.Action, r.Input) > 1 {
-				dups++
-			}
-		}
-	}
-	return dups
 }
 
 // netConfig clones the scenario's network config for one seeded run.

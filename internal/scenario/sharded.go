@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"xability/internal/action"
-	"xability/internal/event"
 	"xability/internal/shard"
 	"xability/internal/simnet"
 	"xability/internal/sm"
@@ -50,18 +48,18 @@ func (p *Plan) ApplySharded(c *shard.Cluster) { p.Apply(shardedTarget{c}) }
 
 // takeGroups returns per-group networks ready for a seeded sharded run,
 // plus the fresh shared clock they run on — the sharded extension of
-// runScratch.take. On reuse each group's network is recycled in shard
+// runScratch.network. On reuse each group's network is recycled in shard
 // order via simnet.ResetShared (the first drain quiesces the old shared
 // clock; the rest return immediately); the first call, or a shard-count
-// change, builds fresh networks that later seeds then recycle. A nil
-// return means build-from-scratch: the caller lets shard.New deploy its
-// own world (a network whose previous run failed to wind down is
-// abandoned rather than risked, mirroring take).
+// change, builds fresh networks that later seeds then recycle. Nil
+// networks mean build-from-scratch: shard.New deploys its own networks on
+// the returned clock (a network whose previous run failed to wind down is
+// abandoned rather than risked, mirroring network).
 func (s *runScratch) takeGroups(base simnet.Config, seed int64, shards int) ([]*simnet.Network, vclock.Clock) {
-	if s == nil {
-		return nil, nil
-	}
 	clk := vclock.NewVirtual()
+	if s == nil {
+		return nil, clk
+	}
 	cfgFor := func(g int) simnet.Config {
 		cfg := base
 		cfg.Clock = clk
@@ -72,7 +70,7 @@ func (s *runScratch) takeGroups(base simnet.Config, seed int64, shards int) ([]*
 		for g, net := range s.groups {
 			if !net.ResetShared(cfgFor(g)) {
 				s.groups = nil
-				return nil, nil
+				return nil, clk
 			}
 		}
 		return s.groups, clk
@@ -93,10 +91,8 @@ func shardConfig(sc Scenario, seed int64, scratch *runScratch, accounts int) sha
 		banks[s] = workload.NewBank(accounts, sc.Opening)
 	}
 	netCfg := netConfig(sc, seed)
-	nets, sharedClk := scratch.takeGroups(netCfg, seed, sc.Shards)
-	if sharedClk != nil {
-		netCfg.Clock = sharedClk
-	}
+	nets, clk := scratch.takeGroups(netCfg, seed, sc.Shards)
+	netCfg.Clock = clk
 	return shard.Config{
 		Shards:            sc.Shards,
 		Replicas:          sc.Replicas,
@@ -115,80 +111,4 @@ func shardConfig(sc Scenario, seed int64, scratch *runScratch, accounts int) sha
 		WALSnapshotSync:   sc.WALSnapshotSync,
 		WALCompact:        sc.WALCompact,
 	}
-}
-
-// executeSharded runs a scenario on the sharded runtime: Scenario.Shards
-// replica groups behind the keyspace router, each group its own
-// core.Cluster (own network, environment, bank) on one shared virtual
-// clock. The workload is routed by account key and the per-shard streams
-// run concurrently, so simulated time measures aggregate throughput. The
-// verdict is the merged checker's: per-shard R2–R4 plus the global
-// exactly-once-routing audit.
-func executeSharded(sc Scenario, seed int64, reqs []action.Request, scratch *runScratch) Outcome {
-	c := shard.New(shardConfig(sc, seed, scratch, sc.Accounts))
-	defer c.Stop()
-	for s := 0; s < c.Shards(); s++ {
-		for _, f := range sc.Failures {
-			c.Group(s).Env.SetFailures(f.Action, f.Prob, f.Budget, f.AfterProb)
-		}
-	}
-
-	clk := c.Clock()
-	clk.Enter()
-	timedOut, disarm := watchdog(sc, clk, c.CloseNets)
-	if sc.Plan != nil {
-		sc.Plan.Apply(shardedTarget{c})
-	}
-	start := clk.Now()
-	_, replied := c.Router.CallAll(reqs)
-	disarm()
-	simTime := clk.Now() - start
-	settleRun(sc, clk, func() int {
-		n := 0
-		for s := 0; s < c.Shards(); s++ {
-			n += c.Group(s).Env.PendingOutcome()
-		}
-		return n
-	})
-	// Observations — send counters, histories, the audit — are all read at
-	// the settle horizon while still attached: the pump just woke this
-	// goroutine, so every protocol goroutine in every group is blocked and
-	// the snapshots are taken at one fixed virtual instant (see
-	// executeXAbility).
-	msgs := c.TotalSent()
-	hs := c.Histories()
-	// The audit spans every group's environment: the owner accounts for
-	// the effect, and a mis-routed duplicate applied by a non-owner
-	// inflates the count instead of hiding.
-	effects := auditEffects(reqs, c.EffectsInForce)
-	wstats := c.WALStats()
-	snap := sc.Net.Metrics.Snapshot()
-	// Stop while attached so the groups' periodic loops cannot free-run
-	// against the (expensive) merged verification below — see
-	// executeXAbility.
-	c.Stop()
-	clk.Exit()
-	c.Quiesce()
-
-	rep := c.VerifyHistories(workload.Registry(), hs)
-	var merged event.History
-	for _, h := range hs {
-		merged = append(merged, h...)
-	}
-	o := outcomeFrom(sc, seed, reqs, merged, replied)
-	o.TimedOut = timedOut()
-	o.Shards = sc.Shards
-	o.ShardReports = rep.Shards
-	o.RoutingExact = rep.RoutingExact
-	o.XAble = rep.XAble()
-	o.Attempts = c.Attempts()
-	o.Messages = msgs
-	o.SimTime = simTime
-	o.EffectsInForce = effects
-	o.WALAppends = wstats.Appends
-	o.WALSyncTime = wstats.SyncTime
-	o.WALCompactions = wstats.Compactions
-	o.WALLiveRecords = wstats.LiveRecords
-	o.Obs = snap
-	return o
 }

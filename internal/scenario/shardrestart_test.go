@@ -92,7 +92,7 @@ func TestShardRestartByteDeterministic(t *testing.T) {
 		scratch := &runScratch{}
 		for seed := int64(1); seed <= 4; seed++ {
 			fresh := Execute(sc, seed)
-			reused := executeTracedWith(sc, seed, nil, nil, scratch)
+			reused := run(sc, seed, RunOptions{}, scratch)
 			fresh.History, reused.History = nil, nil
 			if !reflect.DeepEqual(fresh, reused) {
 				t.Errorf("%s seed %d: reused-group outcome differs from fresh run:\nfresh:  %+v\nreused: %+v",

@@ -40,8 +40,8 @@ type VerdictDistribution struct {
 	Attempts int
 	Messages int
 	// ReplayDuplicates counts runs whose duplicate-replay audit found any
-	// (action, input) pair in force more than once — for a correct
-	// protocol this is zero even under crash→restart schedules.
+	// (action, input) pair in force more times than it was submitted — for
+	// a correct protocol this is zero even under crash→restart schedules.
 	ReplayDuplicates int
 	// WALAppends totals stable-storage appends over the sweep (zero for
 	// non-durable scenarios). WALCompactions totals compaction passes and
@@ -245,15 +245,15 @@ func SweepWithOptions(sc Scenario, seeds []int64, opts SweepOptions) VerdictDist
 			scratch := &runScratch{}
 			// One registry per worker, reset per seed: counters are read
 			// only through the per-run snapshot, so reuse is invisible.
-			var run *obs.Run
+			var ro RunOptions
 			if opts.Metrics {
-				run = &obs.Run{Metrics: obs.NewMetrics()}
+				ro.Obs = &obs.Run{Metrics: obs.NewMetrics()}
 			}
 			for i := range idx {
-				if run != nil {
-					run.Metrics.Reset()
+				if ro.Obs != nil {
+					ro.Obs.Metrics.Reset()
 				}
-				o := executeObservedWith(sc, seeds[i], nil, nil, scratch, run)
+				o := run(sc, seeds[i], ro, scratch)
 				o.History = nil // bound sweep memory to the verdicts
 				outcomes[i] = o
 				if opts.Progress != nil {
@@ -313,7 +313,7 @@ func SweepWithOptions(sc Scenario, seeds []int64, opts SweepOptions) VerdictDist
 				break
 			}
 			tr := obs.NewTrace(0)
-			ExecuteObserved(sc, seed, &obs.Run{Trace: tr})
+			Run(sc, seed, RunOptions{Obs: &obs.Run{Trace: tr}})
 			var buf bytes.Buffer
 			if err := tr.WriteJSON(&buf); err == nil {
 				d.Traces[seed] = buf.Bytes()

@@ -99,10 +99,10 @@ func TestVerbatimHonorsRecordedSuppressions(t *testing.T) {
 // else replays verbatim.
 func TestSuppressSet(t *testing.T) {
 	l := NewLog()
-	l.Append(entry("a", "b", "x", 0, 1*time.Millisecond))                // kept
-	l.Append(entry("a", "b", "x", 0, 2*time.Millisecond))                // newly dropped
-	i := l.Append(entry("a", "b", "x", 0, 3*time.Millisecond))           // prior round
-	l.Resolve(i, Suppressed)                                             //
+	l.Append(entry("a", "b", "x", 0, 1*time.Millisecond))      // kept
+	l.Append(entry("a", "b", "x", 0, 2*time.Millisecond))      // newly dropped
+	i := l.Append(entry("a", "b", "x", 0, 3*time.Millisecond)) // prior round
+	l.Resolve(i, Suppressed)                                   //
 	c := NewCursor(&Replay{Log: l, Edit: SuppressSet(map[int]bool{1: true})})
 
 	if d, _ := c.Next("a", "b", "x"); d.Suppress {

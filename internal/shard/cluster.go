@@ -9,7 +9,6 @@ import (
 	"xability/internal/simnet"
 	"xability/internal/sm"
 	"xability/internal/vclock"
-	"xability/internal/wal"
 )
 
 // Config describes a sharded deployment: N replica groups, each an
@@ -164,50 +163,11 @@ func (c *Cluster) Histories() []event.History {
 	return out
 }
 
-// MergedHistory concatenates the groups' histories in shard order — the
-// deployment-wide event trace for counters and listings. Per-shard
-// verification uses the per-shard histories; the concatenation is not
-// itself a total order across groups (groups share no events, so none is
-// needed).
-func (c *Cluster) MergedHistory() event.History {
-	var h event.History
-	for _, gh := range c.Histories() {
-		h = append(h, gh...)
-	}
-	return h
-}
-
 // Quiesce blocks until every group's in-flight deliveries have settled.
 func (c *Cluster) Quiesce() {
 	for _, g := range c.groups {
 		g.Net.Quiesce()
 	}
-}
-
-// CloseNets closes every group's network — the deployment-wide watchdog
-// action (unblocks all clients; the run is over).
-func (c *Cluster) CloseNets() {
-	for _, g := range c.groups {
-		g.Net.Close()
-	}
-}
-
-// TotalSent sums message counts across the groups' networks.
-func (c *Cluster) TotalSent() int {
-	total := 0
-	for _, g := range c.groups {
-		total += g.Net.TotalSent()
-	}
-	return total
-}
-
-// Attempts sums client submit attempts across the groups.
-func (c *Cluster) Attempts() int {
-	total := 0
-	for _, g := range c.groups {
-		total += g.Client.Attempts()
-	}
-	return total
 }
 
 // EffectsInForce sums the groups' environment audits for one raw
@@ -220,16 +180,6 @@ func (c *Cluster) EffectsInForce(a action.Name, iv action.Value) int {
 		total += g.Env.InForceTotal(a, iv)
 	}
 	return total
-}
-
-// WALStats sums stable-storage activity across the groups' stores (zero
-// when the deployment is not durable).
-func (c *Cluster) WALStats() wal.Stats {
-	var st wal.Stats
-	for _, g := range c.groups {
-		st = st.Plus(g.WALStats())
-	}
-	return st
 }
 
 // Stop shuts every group down.

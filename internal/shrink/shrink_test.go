@@ -44,7 +44,7 @@ func TestShrinkPBCrashFailover(t *testing.T) {
 	}
 
 	// (a) The trace still fails when replayed.
-	o := scenario.ExecuteTraced(sc, 1, nil, mt.Replay())
+	o := scenario.Run(sc, 1, scenario.RunOptions{Replay: mt.Replay()})
 	if o.XAble || !o.Replied {
 		t.Errorf("replayed minimal trace no longer fails: %+v", o)
 	}
@@ -199,7 +199,7 @@ func TestShrinkBatchedDeadline(t *testing.T) {
 	if mt.Outcome.Counterexample == "" {
 		t.Error("outcome carries no rendered counterexample")
 	}
-	o := scenario.ExecuteTraced(sc, 2, nil, mt.Replay())
+	o := scenario.Run(sc, 2, scenario.RunOptions{Replay: mt.Replay()})
 	if o.Replied || !o.TimedOut {
 		t.Errorf("replayed minimal trace no longer fails by deadline: %+v", o)
 	}
@@ -246,7 +246,7 @@ func TestShrinkPowerCycleGolden(t *testing.T) {
 		t.Errorf("empty minimal schedule; the predicate should keep the submit delivery")
 	}
 	// The minimal trace still reproduces the deadline failure.
-	o := scenario.ExecuteTraced(sc, 1, nil, mt.Replay())
+	o := scenario.Run(sc, 1, scenario.RunOptions{Replay: mt.Replay()})
 	if o.Replied || !o.TimedOut {
 		t.Errorf("replayed minimal trace no longer fails by deadline: %+v", o)
 	}
@@ -296,7 +296,7 @@ func TestShrinkKeepsCrashRestartPairs(t *testing.T) {
 		t.Errorf("minimal plan is not a crash/restart pair: %+v", ops)
 	}
 	// The pair-shrunk trace still reproduces the duplication.
-	o := scenario.ExecuteTraced(sc, 1, nil, mt.Replay())
+	o := scenario.Run(sc, 1, scenario.RunOptions{Replay: mt.Replay()})
 	if o.XAble || !o.Replied {
 		t.Errorf("replayed minimal trace no longer fails: %+v", o)
 	}

@@ -94,11 +94,13 @@ func TestReplayVerbatimReproducesSchedule(t *testing.T) {
 		a := n.Register("a")
 		b := n.Register("b")
 		clk := n.Clock()
-		clk.Enter() // hold the schedule so all sends share one instant
+		// Hold the schedule so all sends share one instant, and stay
+		// attached while receiving: each Now then reads the delivery
+		// instant, not a later one the free-running clock reached.
+		clk.Enter()
 		for i := 0; i < 20; i++ {
 			a.Send("b", "m", i)
 		}
-		clk.Exit()
 		var at []time.Duration
 		for i := 0; i < 20; i++ {
 			if _, ok := b.Recv(); !ok {
@@ -106,6 +108,7 @@ func TestReplayVerbatimReproducesSchedule(t *testing.T) {
 			}
 			at = append(at, clk.Now())
 		}
+		clk.Exit()
 		return log, at
 	}
 

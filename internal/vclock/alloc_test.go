@@ -55,8 +55,10 @@ func TestCondWaitAllocBudget(t *testing.T) {
 	c := v.NewCond(&mu)
 	wake := func() { c.Broadcast() }
 	run := func() {
-		v.GoAfter(0, wake)
+		// Attach before scheduling the wake: the waiter must be parked
+		// before the broadcast can run.
 		v.Enter()
+		v.GoAfter(0, wake)
 		mu.Lock()
 		c.Wait()
 		mu.Unlock()

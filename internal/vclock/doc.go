@@ -16,11 +16,15 @@
 // The virtual clock is a discrete-event scheduler: pending wake-ups (sleep
 // deadlines, message deliveries, poll timeouts) form a priority queue keyed
 // by virtual deadline, tie-broken by scheduling sequence number. Goroutines
-// participating in the simulation are attached to the clock (Clock.Go,
-// Clock.Enter); whenever every attached goroutine is blocked in a clock
-// primitive, the clock pops the earliest event, advances virtual time to
-// its deadline, and wakes exactly one goroutine. Execution of events is
-// thereby serialized.
+// participating in the simulation attach to the clock (Clock.Go,
+// Clock.Enter) and run one at a time: the running goroutine holds a run token
+// until it blocks in a clock primitive, exits, or detaches. A spawn (Go)
+// or an outside goroutine attaching while the token is held (Enter) queues
+// as an event at the current instant instead of running alongside the
+// holder. Whenever the token is free, the clock pops the earliest event,
+// advances virtual time to its deadline, and hands the token to exactly
+// one goroutine. Execution is thereby serialized on any number of OS
+// threads.
 //
 // # How seeds map to schedules
 //

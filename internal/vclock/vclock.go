@@ -20,33 +20,41 @@ import (
 //
 // The virtual clock tracks a set of *attached* goroutines — those whose
 // runnability it may rely on. Attachment is reference-counted per goroutine,
-// so nested Enter/Exit pairs and re-entrant public APIs compose. The clock
-// advances only when the number of attached, runnable goroutines reaches
-// zero; it then fires exactly one pending event (ordered by deadline, then
-// by scheduling sequence), wakes its owner, and waits for quiescence again.
-// Event execution is therefore serialized, which is what makes runs with
-// equal seeds reproduce equal schedules.
+// so nested Enter/Exit pairs and re-entrant public APIs compose. At most
+// one attached goroutine runs at a time: it holds the clock's run token
+// until it blocks in a clock primitive or detaches. A spawned child (Go)
+// and an outside goroutine attaching while the token is held (Enter) do
+// not run alongside the holder; they queue as events at the current
+// instant. When the token is free the clock fires exactly one pending
+// event (ordered by deadline, then by scheduling sequence), hands its
+// owner the token, and waits for it to come back. Execution is therefore
+// serialized whatever the number of OS threads, which is what makes runs
+// with equal seeds reproduce equal schedules on any host.
 type Clock interface {
 	// Now returns the time elapsed since the clock started.
 	Now() time.Duration
 	// Sleep blocks for d. It attaches the calling goroutine for the
 	// duration of the call, so it is safe from any goroutine.
 	Sleep(d time.Duration)
-	// Go runs fn on a new goroutine attached to the clock. The goroutine
-	// counts as runnable from before Go returns until fn returns, except
-	// while it is blocked in a clock primitive.
+	// Go runs fn on a new goroutine attached to the clock. The spawn is an
+	// event at the current instant, ordered after every event already
+	// scheduled: the child starts once the caller (and everything queued
+	// before it) has blocked, so parent and child never run in parallel.
 	Go(fn func())
 	// GoAfter schedules fn to run on a new attached goroutine after d.
 	// The event's position in the schedule is fixed at call time.
 	GoAfter(d time.Duration, fn func())
 	// Enter attaches the calling goroutine (reference-counted); Exit
-	// undoes one Enter. Public blocking APIs built on the clock wrap
+	// undoes one Enter. A first Enter waits for the run token: while
+	// another attached goroutine runs, the caller queues as an event at
+	// the current instant. Public blocking APIs built on the clock wrap
 	// themselves in Enter/Exit so that any caller composes correctly.
 	Enter()
 	Exit()
 	// Detached runs fn with the calling goroutine's attachment (if any)
 	// released: use it around waits on synchronization that the clock
-	// does not manage, so virtual time can advance meanwhile.
+	// does not manage, so virtual time can advance meanwhile. On return
+	// the caller waits for the run token like a first Enter.
 	Detached(fn func())
 	// Drain blocks until no events remain scheduled at the current
 	// instant: broadcast wakes already pushed have been delivered and
@@ -167,7 +175,7 @@ type Virtual struct {
 	mu     sync.Mutex
 	now    time.Duration
 	seq    uint64
-	busy   int // attached goroutines not blocked in a clock primitive
+	held   bool // an attached goroutine holds the run token
 	pq     []*vevent
 	ledger map[uint64]*gent // goroutine identity → attachment depth
 
@@ -303,25 +311,46 @@ func (v *Virtual) releaseWaiterLocked(w *waiter) {
 	v.wfree = append(v.wfree, w)
 }
 
-// addBusyLocked adjusts the runnable count; on quiescence it advances time.
-func (v *Virtual) addBusyLocked(d int) {
-	v.busy += d
-	if v.busy < 0 {
+// acquireLocked hands the calling goroutine the run token, waiting for it
+// if another attached goroutine holds it. The wait is a wake event at the
+// current instant — the same shape as a broadcast wake — so a goroutine
+// joining the schedule mid-run is ordered by sequence like every other
+// event instead of running alongside the holder. v.mu is held on entry
+// and on return; it is released while waiting.
+func (v *Virtual) acquireLocked() {
+	if !v.held {
+		// A free token means nothing is pending: the pump drains the
+		// queue whenever the token is released.
+		v.held = true
+		return
+	}
+	w := v.newWaiterLocked()
+	v.pushBroadcastLocked(w)
+	v.mu.Unlock()
+	<-w.ch //xvet:ok detachedwait the token wait: the caller holds no token and the wake is a scheduled event that hands it over
+	v.mu.Lock()
+	v.releaseWaiterLocked(w)
+}
+
+// releaseLocked gives up the caller's run token; the pump then hands it
+// to the next pending event, advancing time if nothing is due now.
+func (v *Virtual) releaseLocked() {
+	if !v.held {
 		panic("vclock: blocking call from a goroutine not attached to the clock (missing Enter or Go)")
 	}
-	if v.busy == 0 {
-		v.pumpLocked()
-	}
+	v.held = false
+	v.pumpLocked()
 }
 
 // pumpLocked fires the next pending event: it advances now to the event's
-// deadline, marks its owner runnable, and wakes it. Exactly one runnable
-// goroutine results, so event execution is serialized and deterministic.
+// deadline, hands its owner the run token, and wakes it. Exactly one
+// runnable goroutine results, so event execution is serialized and
+// deterministic.
 // Popped events return to the pool immediately — nothing references a
 // vevent once it leaves the heap — keeping the critical section short and
 // the heap churn-free.
 func (v *Virtual) pumpLocked() {
-	for v.busy == 0 && len(v.pq) > 0 {
+	for !v.held && len(v.pq) > 0 {
 		ev := v.heapPop()
 		at, w, wgen, bw, fn, r, pc := ev.at, ev.w, ev.wgen, ev.bw, ev.fn, ev.r, ev.pc
 		ev.w, ev.fn, ev.r, ev.pc, ev.bw = nil, nil, nil, 0, false
@@ -335,9 +364,9 @@ func (v *Virtual) pumpLocked() {
 		if at > v.now {
 			v.now = at
 		}
-		v.busy++
+		v.held = true
 		if fn != nil {
-			go v.runAdopted(fn, pc) //xvet:ok baregoroutine the clock's own spawn: the runnability unit was added above and the goroutine adopts into the ledger
+			go v.runAdopted(fn, pc) //xvet:ok baregoroutine the clock's own spawn: the run token was handed over above and the goroutine adopts into the ledger
 			return
 		}
 		if r != nil {
@@ -359,7 +388,7 @@ func (v *Virtual) pumpLocked() {
 }
 
 // adopt registers the calling (fresh) goroutine in the ledger; the
-// runnability unit was already added by the spawner. site names the
+// run token was already handed over by the pump. site names the
 // spawner's call site for Stop's leak audit (zero when untracked).
 func (v *Virtual) adopt(site uintptr) uint64 {
 	id := gid()
@@ -376,7 +405,7 @@ func (v *Virtual) disown(id uint64) {
 	if g.depth == 0 {
 		delete(v.ledger, id)
 		v.gfree = append(v.gfree, g)
-		v.addBusyLocked(-1)
+		v.releaseLocked()
 	}
 	v.mu.Unlock()
 }
@@ -420,7 +449,7 @@ func (v *Virtual) Enter() {
 	}
 	g.depth++
 	if g.depth == 1 {
-		v.busy++
+		v.acquireLocked()
 	}
 	v.mu.Unlock()
 }
@@ -438,7 +467,7 @@ func (v *Virtual) Exit() {
 	if g.depth == 0 {
 		delete(v.ledger, id)
 		v.gfree = append(v.gfree, g)
-		v.addBusyLocked(-1)
+		v.releaseLocked()
 	}
 	v.mu.Unlock()
 }
@@ -450,13 +479,13 @@ func (v *Virtual) Detached(fn func()) {
 	g := v.ledger[id]
 	attached := g != nil && g.depth > 0
 	if attached {
-		v.addBusyLocked(-1)
+		v.releaseLocked()
 	}
 	v.mu.Unlock()
 	defer func() {
 		if attached {
 			v.mu.Lock()
-			v.busy++
+			v.acquireLocked()
 			v.mu.Unlock()
 		}
 	}()
@@ -472,23 +501,26 @@ func (v *Virtual) Sleep(d time.Duration) {
 	v.mu.Lock()
 	w := v.newWaiterLocked()
 	v.pushLocked(v.now+d, w, nil, nil, 0)
-	v.addBusyLocked(-1)
+	v.releaseLocked()
 	v.mu.Unlock()
-	<-w.ch //xvet:ok detachedwait the clock's own sleep: runnability was released above and the wake is a scheduled event
+	<-w.ch //xvet:ok detachedwait the clock's own sleep: the run token was released above and the wake is a scheduled event
 	v.mu.Lock()
 	v.releaseWaiterLocked(w)
 	v.mu.Unlock()
 	v.Exit()
 }
 
-// Go implements Clock. The runnability unit is added before Go returns, so
-// the schedule cannot advance past the spawn.
+// Go implements Clock. The spawn is a same-instant event, so the schedule
+// cannot advance past it, and the child gets the run token in sequence
+// order rather than racing its parent.
 func (v *Virtual) Go(fn func()) {
 	pc := callerPC()
 	v.mu.Lock()
-	v.busy++
+	v.pushLocked(v.now, nil, fn, nil, pc)
+	if !v.held {
+		v.pumpLocked()
+	}
 	v.mu.Unlock()
-	go v.runAdopted(fn, pc) //xvet:ok baregoroutine this IS vclock.Go: the spawn is counted busy above and adopted into the ledger
 }
 
 // GoAfter implements Clock.
@@ -499,7 +531,7 @@ func (v *Virtual) GoAfter(d time.Duration, fn func()) {
 	pc := callerPC()
 	v.mu.Lock()
 	v.pushLocked(v.now+d, nil, fn, nil, pc)
-	if v.busy == 0 {
+	if !v.held {
 		v.pumpLocked()
 	}
 	v.mu.Unlock()
@@ -515,7 +547,7 @@ func (v *Virtual) GoAfterRunner(d time.Duration, r Runner) {
 	}
 	v.mu.Lock()
 	v.pushLocked(v.now+d, nil, nil, r, 0)
-	if v.busy == 0 {
+	if !v.held {
 		v.pumpLocked()
 	}
 	v.mu.Unlock()
@@ -612,7 +644,7 @@ func (v *Virtual) Drain() {
 func (v *Virtual) Quiesced() bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.busy == 0 && len(v.pq) == 0 && len(v.ledger) == 0
+	return !v.held && len(v.pq) == 0 && len(v.ledger) == 0
 }
 
 // NewCond implements Clock.
@@ -647,10 +679,10 @@ func (c *vcond) wait(d time.Duration) bool {
 	if d >= 0 {
 		v.pushLocked(v.now+d, w, nil, nil, 0)
 	}
-	v.addBusyLocked(-1)
+	v.releaseLocked()
 	v.mu.Unlock()
 	c.l.Unlock()
-	<-w.ch //xvet:ok detachedwait the clock's own cond wait: runnability was released above; the wake is a broadcast or scheduled timeout
+	<-w.ch //xvet:ok detachedwait the clock's own cond wait: the run token was released above; the wake is a broadcast or scheduled timeout
 	// The wake (fired=true) happens before the channel send, so reading
 	// timedOut here is ordered; after the read nothing references w and it
 	// can be recycled. A timer event for a broadcast-woken w may still sit
@@ -680,7 +712,7 @@ func (c *vcond) Broadcast() {
 		}
 	}
 	c.waiters = c.waiters[:0]
-	if v.busy == 0 {
+	if !v.held {
 		v.pumpLocked()
 	}
 	v.mu.Unlock()

@@ -1,7 +1,9 @@
 package vclock
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -24,7 +26,9 @@ func TestVirtualSleepOrdering(t *testing.T) {
 	var order []int
 	var wg sync.WaitGroup
 	// Spawn in an order unrelated to the deadlines; wake order must follow
-	// the deadlines.
+	// the deadlines. The spawner holds the clock until every child is
+	// scheduled, so no deadline can fire before the last spawn.
+	v.Enter()
 	for i, d := range []time.Duration{30 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond} {
 		wg.Add(1)
 		i, d := i, d
@@ -36,6 +40,7 @@ func TestVirtualSleepOrdering(t *testing.T) {
 			mu.Unlock()
 		})
 	}
+	v.Exit()
 	wg.Wait()
 	want := []int{1, 2, 0}
 	for i := range want {
@@ -45,6 +50,27 @@ func TestVirtualSleepOrdering(t *testing.T) {
 	}
 	if v.Now() != 30*time.Millisecond {
 		t.Errorf("Now = %v, want 30ms", v.Now())
+	}
+}
+
+// TestGoChildWaitsForParentToBlock pins the single-runner rule: a child
+// spawned by Go does not run beside its parent, whatever the number of OS
+// threads; it starts once the parent blocks in a clock primitive.
+func TestGoChildWaitsForParentToBlock(t *testing.T) {
+	v := NewVirtual()
+	v.Enter()
+	defer v.Exit()
+	var ran atomic.Bool
+	v.Go(func() { ran.Store(true) })
+	for i := 0; i < 1000; i++ {
+		runtime.Gosched() // give a parallel child every chance to run
+	}
+	if ran.Load() {
+		t.Fatal("child ran while its parent held the clock")
+	}
+	v.Sleep(0)
+	if !ran.Load() {
+		t.Fatal("child did not run once its parent blocked")
 	}
 }
 

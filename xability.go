@@ -330,7 +330,7 @@ func NewScheduleLog() *ScheduleLog { return schedule.NewLog() }
 // replay is non-nil the run re-executes the given log instead of drawing
 // delays from the seed. Either may be nil.
 func RunScenarioTraced(sc Scenario, seed int64, record *ScheduleLog, replay *Replay) Outcome {
-	return scenario.ExecuteTraced(sc, seed, record, replay)
+	return scenario.Run(sc, seed, scenario.RunOptions{Record: record, Replay: replay})
 }
 
 // Shrink delta-debugs the failing run of a scenario on one seed into a
