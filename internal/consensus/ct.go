@@ -743,21 +743,13 @@ func (n *Node) currentEstimate(inst *ctInstance, round int) ctMsg {
 
 func (n *Node) sendCons(to simnet.ProcessID, m ctMsg) {
 	if to == n.self {
-		// Local delivery without the network: enqueue directly.
+		// Local delivery without the network: enqueue directly. Decides
+		// never take this path — decide() persists its own and skips self.
 		inst := n.instance(m.Key)
 		m.From = n.self
 		inst.mu.Lock()
-		if m.Kind == ctDecide {
-			if !inst.decided {
-				// Unreachable today — decide() and the relay both skip self —
-				// but kept for sendCons totality.
-				inst.decided, inst.decision = true, m.Value //xvet:ok durablewrite dead branch: no caller self-sends a decide; the live decide paths persist
-				inst.cond.Broadcast()
-			}
-		} else {
-			inst.inbox = append(inst.inbox, m)
-			inst.cond.Broadcast()
-		}
+		inst.inbox = append(inst.inbox, m)
+		inst.cond.Broadcast()
 		inst.mu.Unlock()
 		return
 	}

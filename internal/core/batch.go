@@ -10,8 +10,12 @@
 // replicated machines stay in the same state they would reach executing
 // the batch members one at a time.
 //
-// Fault tolerance reuses the per-request round machinery at slot
-// granularity, so the cleaner story of DESIGN.md §2 carries over verbatim:
+// Fault tolerance is the round engine of round.go with the slot as its
+// instance — the same round guard, scans, takeover, abort fence and
+// finish as the per-request plane — so the cleaner story of DESIGN.md §2
+// carries over verbatim, and so does the write-ahead of round attempts and
+// fixed results (a restarted replica does not yet recover its slot-log
+// position, though: its slot state starts empty):
 //
 //	owner-agreement[slot][round]   — who owns a round of a slot, and the
 //	                                 slot's member batch (ownerDecision.Batch)
@@ -41,6 +45,7 @@ import (
 	"time"
 
 	"xability/internal/action"
+	"xability/internal/consensus"
 	"xability/internal/obs"
 	"xability/internal/vclock"
 )
@@ -113,7 +118,10 @@ func newSlotState(clk vclock.Clock) *slotState {
 // finished, otherwise add it to the pending batch unless some batch or
 // slot already holds it.
 func (s *Server) enqueue(p SubmitPayload) {
-	st, _ := s.noteRequest(p.Req, p.Client)
+	st, first := s.noteRequest(p.Req, p.Client)
+	if first {
+		s.persistRequest(p.Req, p.Client)
+	}
 	s.mu.Lock()
 	st.direct = true
 	if st.done {
@@ -217,26 +225,12 @@ func (s *Server) finishedReq(id string) bool {
 	return st != nil && st.done
 }
 
-// runSlot is process-request at slot granularity: propose ownership of the
-// round (carrying the batch), and if we win, wait for the in-order
+// runSlot is process-request at slot granularity: claim the round
+// (carrying the batch), and if we win, wait for the in-order
 // execution gate, execute members in batch order, coordinate the slot's
 // outcome, and apply/reply.
 func (s *Server) runSlot(n, round int, batch []SubmitPayload) {
-	if s.isStopped() || round > MaxRound {
-		return
-	}
-	id := slotID(n)
-	key := ownerKey(id, round)
-	s.mu.Lock()
-	if s.rounds[key] {
-		s.mu.Unlock()
-		return
-	}
-	s.rounds[key] = true //xvet:ok durablewrite batched plane is an in-memory baseline: restart is unsupported there, nothing to persist
-	s.mu.Unlock()
-
-	decided := s.propose(key, ownerDecision{Owner: s.id, Batch: batch})
-	od, ok := decided.(ownerDecision)
+	od, ok := s.claimRound(slotID(n), round, ownerDecision{Owner: s.id, Batch: batch})
 	if !ok {
 		return
 	}
@@ -371,13 +365,7 @@ func (s *Server) slotCoordination(n, round int, batch []SubmitPayload, fresh []b
 	if out.Outcome == "abort" {
 		for _, m := range batch {
 			if s.mach.IsUndoable(m.Req) {
-				// Fence before cancelling (testcancel, §5.3), exactly as on
-				// the per-request plane: without it a losing owner's retry
-				// loop can reactivate the cancelled member and re-apply its
-				// effect after this neutralization.
-				exec := s.taggedFor(m.Req, round)
-				s.mach.Env().FenceUndoable(exec.Action, exec.EffectiveInput())
-				s.executeUntilSuccess(exec.Cancel())
+				s.fenceCancel(m.Req, round)
 			}
 		}
 		return out
@@ -414,27 +402,20 @@ func (s *Server) slotCoordination(n, round int, batch []SubmitPayload, fresh []b
 // (the batched plane's analogue of awaitFixed).
 func (s *Server) applySlot(n int, batch []SubmitPayload, vals []action.Value, owner bool) {
 	for i, m := range batch {
-		if firstIndex(batch, i) >= 0 {
-			if owner {
-				s.ep.Send(m.Client, MsgResult, ResultPayload{ReqID: m.Req.ID, Value: vals[i]})
+		reply := owner
+		if firstIndex(batch, i) < 0 {
+			st, first := s.noteRequest(m.Req, m.Client)
+			if first {
+				s.persistRequest(m.Req, m.Client)
 			}
-			continue
+			if s.finish(m.Req.ID, vals[i], n) && !owner {
+				s.mach.Apply(m.Req, vals[i])
+			}
+			s.mu.Lock()
+			reply = owner || st.direct
+			s.mu.Unlock()
 		}
-		st, _ := s.noteRequest(m.Req, m.Client)
-		s.mu.Lock()
-		dupEarlier := st.done && st.doneSlot >= 0 && st.doneSlot < n
-		if !dupEarlier {
-			st.done = true      //xvet:ok durablewrite batched plane is an in-memory baseline: restart is unsupported there, nothing to persist
-			st.result = vals[i] //xvet:ok durablewrite batched plane is an in-memory baseline: restart is unsupported there, nothing to persist
-			st.applied = true
-			st.doneSlot = n
-		}
-		direct := st.direct
-		s.mu.Unlock()
-		if !dupEarlier && !owner {
-			s.mach.Apply(m.Req, vals[i])
-		}
-		if owner || direct {
+		if reply {
 			s.ep.Send(m.Client, MsgResult, ResultPayload{ReqID: m.Req.ID, Value: vals[i]})
 		}
 	}
@@ -479,36 +460,17 @@ func (s *Server) advanceSlot() bool {
 	n := ss.execNext
 	ss.mu.Unlock()
 
-	id := slotID(n)
-	for r := 1; r <= MaxRound; r++ {
-		ov, decided := s.cons.Object(ownerKey(id, r)).Read()
-		if !decided {
-			return false // slot n has no round r (yet)
-		}
-		out, ok := s.cons.Object(outcomeKey(id, r)).Read()
-		if !ok {
-			return false // round r unresolved; commit/abort pending
-		}
-		so, good := out.(slotOutcome)
-		if !good {
-			return false
-		}
-		if so.Outcome != "commit" {
-			continue // aborted round; a later round re-runs the batch
-		}
-		od, good := ov.(ownerDecision)
-		if !good {
-			return false
-		}
-		ss.mu.Lock()
-		stale := ss.execNext != n
-		ss.mu.Unlock()
-		if !stale {
-			s.applySlot(n, od.Batch, so.Values, false)
-		}
-		return true
+	od, out, ok := s.committedRound(slotID(n), consensus.SpaceOutcome, true)
+	if !ok {
+		return false
 	}
-	return false
+	ss.mu.Lock()
+	stale := ss.execNext != n
+	ss.mu.Unlock()
+	if !stale {
+		s.applySlot(n, od.Batch, out.(slotOutcome).Values, false)
+	}
+	return true
 }
 
 // cleanSlot is the cleaner's batched-plane pass: watch the first
@@ -522,16 +484,7 @@ func (s *Server) cleanSlot() {
 	ss.mu.Unlock()
 
 	id := slotID(n)
-	lastRound := 0
-	var od ownerDecision
-	for r := 1; r <= MaxRound; r++ {
-		v, decided := s.cons.Object(ownerKey(id, r)).Read()
-		if !decided {
-			break
-		}
-		lastRound = r
-		od = v.(ownerDecision)
-	}
+	lastRound, od := s.latestRound(id)
 	if lastRound == 0 {
 		return // no such slot yet; nothing to clean
 	}
@@ -540,18 +493,5 @@ func (s *Server) cleanSlot() {
 			return // resolved; the follower applies and re-replies
 		}
 	}
-	if od.Owner == s.id || !s.det.Suspect(od.Owner) {
-		return
-	}
-	// Cleaning mode: prevent the suspected owner from enforcing a commit.
-	s.m.Inc(obs.Takeovers)
-	s.tr.Instant(s.clk.Now(), string(s.id), "takeover", id)
-	out := s.slotCoordination(n, lastRound, od.Batch, nil, slotOutcome{Outcome: "abort"})
-	if s.isStopped() {
-		return
-	}
-	if out.Outcome == "abort" {
-		s.runSlot(n, lastRound+1, od.Batch)
-	}
-	// On commit the follower path applies the slot and answers clients.
+	s.takeover(id, n, lastRound, od)
 }

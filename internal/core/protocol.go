@@ -14,6 +14,9 @@
 //	result-agreement[request] — result of idempotent action (key "result/…")
 //	outcome-agreement[request]— commit/abort of undoable    (key "outcome/…")
 //
+// The round mechanism over these arrays lives in round.go, shared with the
+// batched slot plane (batch.go); this file drives it per request.
+//
 // Differences from the paper's pseudo-code, each forced by a gap the
 // figures elide (see DESIGN.md §2):
 //
@@ -58,7 +61,7 @@ import (
 // its own ownership and executes twice — and which results it fixed.
 const (
 	recRequest = "req"   // Key=request ID, Str=client, Val=action.Request
-	recRound   = "round" // Key=request ID, Round=attempted round
+	recRound   = "round" // Key=instance ID (request or slot), Round=attempted round
 	recFinish  = "fin"   // Key=request ID, Str=fixed result
 )
 
@@ -148,10 +151,10 @@ type Server struct {
 	stopped bool
 	active  map[string]*requestState
 	order   []string // request IDs in arrival order, for replay
-	// rounds is durable state (xvet:durable): the (request, round) pairs
-	// this replica has processed. Writers must persist the pair first —
-	// the durablewrite analyzer flags any write in a function that never
-	// persists.
+	// rounds is durable state (xvet:durable): the (instance, round) pairs
+	// this replica has attempted (see claimRound). Writers must persist the
+	// pair first — the durablewrite analyzer flags any write in a function
+	// that never persists.
 	rounds map[consensus.Key]bool //xvet:durable
 	// inflight marks (request, round) pairs this incarnation is currently
 	// driving through execute/coordinate. Deliberately NOT durable: a
@@ -350,23 +353,6 @@ func (s *Server) persistRequest(req action.Request, client simnet.ProcessID) {
 	}
 }
 
-// persistRound forces a (request, round) attempt to stable storage —
-// write-ahead of the ownership proposal, so a restarted replica cannot
-// re-attempt a round it already entered. Callers must not hold s.mu.
-func (s *Server) persistRound(key consensus.Key) {
-	if s.log != nil {
-		s.log.Append(wal.Record{Kind: recRound, Key: key.ID, Round: key.Round})
-	}
-}
-
-// persistFinish forces a fixed result to stable storage. Callers must not
-// hold s.mu.
-func (s *Server) persistFinish(reqID string, res action.Value) {
-	if s.log != nil {
-		s.log.Append(wal.Record{Kind: recFinish, Key: reqID, Str: string(res)})
-	}
-}
-
 // Recover rebuilds the replica's durable state from its write-ahead log.
 // Call it on a fresh Server before Start, with the log of the crashed
 // incarnation. Replay is idempotent by construction: requests re-create
@@ -510,33 +496,11 @@ func (s *Server) taggedFor(req action.Request, round int) action.Request {
 // reports whether it sent the client a result itself — callers on the
 // submit path fall back to awaitFixed when it did not.
 func (s *Server) processRequest(req action.Request, round int, client simnet.ProcessID) bool {
-	if s.isStopped() || round > MaxRound {
-		return false
-	}
-	// Each replica attempts a (request, round) pair at most once. Without
-	// this, a re-submission of an in-progress request to the replica that
-	// owns its round would read back its own ownership decision and
-	// execute the round a second time — a duplicate committed execution
-	// the calculus cannot reduce away. (A storm-tossed heartbeat client
-	// wraps its failover cycle back to the owner and triggers exactly
-	// that; scripted-suspicion schedules never do.)
-	s.mu.Lock()
-	key := ownerKey(req.ID, round)
-	if s.rounds[key] {
-		s.mu.Unlock()
-		return false
-	}
-	s.rounds[key] = true
-	s.mu.Unlock()
-	// Write-ahead of the proposal: a replica that crashes between here and
-	// the decision must come back remembering the attempt, or it would
-	// re-propose, read back its own ownership, and execute the round twice.
-	s.persistRound(key)
-	decided := s.propose(key, ownerDecision{Owner: s.id, Req: req, Client: client})
-	od, ok := decided.(ownerDecision)
+	od, ok := s.claimRound(req.ID, round, ownerDecision{Owner: s.id, Req: req, Client: client})
 	if !ok || od.Owner != s.id {
 		return false // another replica owns this round; the cleaner watches it
 	}
+	key := ownerKey(req.ID, round)
 	// Mark the round in flight so the cleaner's resume path (for rounds we
 	// own but are no longer driving — the post-restart gap) leaves this
 	// live execution alone.
@@ -563,7 +527,7 @@ func (s *Server) processRequest(req action.Request, round int, client simnet.Pro
 	}
 	res = s.resultCoordination(req, round, res)
 	if res != EmptyResult && !s.isStopped() {
-		s.finish(req.ID, res)
+		s.finish(req.ID, res, -1)
 		s.ep.Send(client, MsgResult, ResultPayload{ReqID: req.ID, Value: res})
 		return true
 	}
@@ -601,7 +565,7 @@ func (s *Server) awaitFixed(req action.Request, client simnet.ProcessID) {
 			return
 		}
 		if v, ok := s.resultFixed(req); ok {
-			s.finish(req.ID, v)
+			s.finish(req.ID, v, -1)
 			s.ep.Send(client, MsgResult, ResultPayload{ReqID: req.ID, Value: v})
 			return
 		}
@@ -609,29 +573,19 @@ func (s *Server) awaitFixed(req action.Request, client simnet.ProcessID) {
 	}
 }
 
-// resultFixed scans the request's rounds, read-only, for a committed
-// result: the fixed value of an idempotent round, or the committed
-// outcome of an undoable one. Aborted rounds are skipped.
+// resultFixed is the committed-round scan of a request: the fixed value
+// of an idempotent round, or the committed outcome of an undoable one.
 func (s *Server) resultFixed(req action.Request) (action.Value, bool) {
-	for r := 1; r <= MaxRound; r++ {
-		if _, decided := s.cons.Object(ownerKey(req.ID, r)).Read(); !decided {
-			return EmptyResult, false // no further rounds exist yet
-		}
-		if s.mach.IsIdempotent(req) {
-			if v, ok := s.cons.Object(resultKey(req.ID, r)).Read(); ok {
-				if val, good := v.(action.Value); good && val != EmptyResult {
-					return val, true
-				}
-			}
-		} else if s.mach.IsUndoable(req) {
-			if v, ok := s.cons.Object(outcomeKey(req.ID, r)).Read(); ok {
-				if dec, good := v.(outcomeDecision); good && dec.Outcome == "commit" {
-					return dec.Value, true
-				}
-			}
-		}
+	space := consensus.SpaceOutcome
+	if s.mach.IsIdempotent(req) {
+		space = consensus.SpaceResult
 	}
-	return EmptyResult, false
+	_, v, ok := s.committedRound(req.ID, space, false)
+	if d, isOutcome := v.(outcomeDecision); isOutcome {
+		return d.Value, ok
+	}
+	res, _ := v.(action.Value)
+	return res, ok
 }
 
 // cleaner is Figure 6's cleaner thread: when the owner of a request's
@@ -674,17 +628,7 @@ func (s *Server) snapshotActive() []*requestState {
 
 func (s *Server) cleanRequest(st *requestState) {
 	reqID := st.req.ID
-	// "let last-round be the largest defined index in owner-agreement".
-	lastRound := 0
-	var od ownerDecision
-	for r := 1; r <= MaxRound; r++ {
-		v, decided := s.cons.Object(ownerKey(reqID, r)).Read()
-		if !decided {
-			break
-		}
-		lastRound = r
-		od = v.(ownerDecision)
-	}
+	lastRound, od := s.latestRound(reqID)
 	// An attempt record for the round after last-round is an ownership
 	// proposal some incarnation of this replica wrote ahead and then never
 	// learned the decision of — it crashed inside the propose. The quorum
@@ -721,24 +665,7 @@ func (s *Server) cleanRequest(st *requestState) {
 		s.resumeOwnRound(od, lastRound)
 		return
 	}
-	if !s.det.Suspect(od.Owner) {
-		return
-	}
-	// Cleaning mode: prevent the suspected owner from enforcing a result.
-	s.m.Inc(obs.Takeovers)
-	s.tr.Instant(s.clk.Now(), string(s.id), "takeover", reqID)
-	res := s.resultCoordination(od.Req, lastRound, EmptyResult)
-	if s.isStopped() {
-		return
-	}
-	if res == EmptyResult {
-		s.processRequest(od.Req, lastRound+1, od.Client)
-		return
-	}
-	// A result was already fixed; the suspected owner may have crashed
-	// before replying. Forward the result so the client terminates (R2).
-	s.finish(reqID, res)
-	s.ep.Send(od.Client, MsgResult, ResultPayload{ReqID: reqID, Value: res})
+	s.takeover(reqID, -1, lastRound, od)
 }
 
 // resumeOwnRound settles a round this replica owns but has no live
@@ -769,7 +696,7 @@ func (s *Server) resumeOwnRound(od ownerDecision, round int) {
 	// The crash may have hit between the outcome decision and the reply:
 	// forward a fixed result rather than re-driving the round.
 	if v, ok := s.resultFixed(req); ok {
-		s.finish(req.ID, v)
+		s.finish(req.ID, v, -1)
 		s.ep.Send(od.Client, MsgResult, ResultPayload{ReqID: req.ID, Value: v})
 		return
 	}
@@ -785,16 +712,7 @@ func (s *Server) resumeOwnRound(od ownerDecision, round int) {
 	// cleaning mode learns a fixed result if one exists — the reply then
 	// goes out — and otherwise aborts the round like any cleaner would,
 	// letting the successor round re-execute under a fresh tag.
-	res := s.resultCoordination(req, round, EmptyResult)
-	if s.isStopped() {
-		return
-	}
-	if res == EmptyResult {
-		s.processRequest(req, round+1, od.Client)
-		return
-	}
-	s.finish(req.ID, res)
-	s.ep.Send(od.Client, MsgResult, ResultPayload{ReqID: req.ID, Value: res})
+	s.cleanRound(req.ID, -1, round, od)
 }
 
 // resultCoordination is Figure 7's result-coordination: agreement on the
@@ -821,22 +739,13 @@ func (s *Server) resultCoordination(req action.Request, round int, val action.Va
 		if !ok {
 			return EmptyResult
 		}
-		exec := s.taggedFor(req, round)
 		if dec.Outcome == "abort" {
 			s.tr.Instant(s.clk.Now(), string(s.id), "cancel", req.ID)
-			// Fence before cancelling (testcancel, §5.3): the abort decision
-			// means this round's effect must never be in force. The cancel
-			// alone only rolls back — without the fence, an owner still
-			// inside execute-until-success reactivates the cancelled
-			// transaction on its next retry and re-applies the effect; if it
-			// then crashes before reading the abort decision, that effect is
-			// orphaned in force next to the succeeding round's commit.
-			s.mach.Env().FenceUndoable(exec.Action, exec.EffectiveInput())
-			s.executeUntilSuccess(exec.Cancel())
+			s.fenceCancel(req, round)
 			return EmptyResult
 		}
 		s.tr.Instant(s.clk.Now(), string(s.id), "commit", req.ID)
-		s.executeUntilSuccess(exec.Commit())
+		s.executeUntilSuccess(s.taggedFor(req, round).Commit())
 		return dec.Value
 	}
 	return EmptyResult
@@ -903,53 +812,11 @@ func (s *Server) replayEarlier(reqID string) {
 	}
 	s.mu.Unlock()
 	for _, st := range todo {
-		if res, ok := s.decidedResult(st.req); ok {
+		if res, ok := s.resultFixed(st.req); ok {
 			s.mach.Apply(st.req, res)
 			s.mu.Lock()
 			st.applied = true
 			s.mu.Unlock()
 		}
 	}
-}
-
-// decidedResult scans a request's rounds for a fixed, non-empty result.
-func (s *Server) decidedResult(req action.Request) (action.Value, bool) {
-	for r := 1; r <= MaxRound; r++ {
-		if _, ok := s.cons.Object(ownerKey(req.ID, r)).Read(); !ok {
-			break
-		}
-		if s.mach.IsIdempotent(req) {
-			if v, ok := s.cons.Object(resultKey(req.ID, r)).Read(); ok {
-				if res, ok2 := v.(action.Value); ok2 && res != EmptyResult {
-					return res, true
-				}
-			}
-		} else if v, ok := s.cons.Object(outcomeKey(req.ID, r)).Read(); ok {
-			if dec, ok2 := v.(outcomeDecision); ok2 && dec.Outcome == "commit" {
-				return dec.Value, true
-			}
-		}
-	}
-	return "", false
-}
-
-// finish marks a request complete, remembering its result for
-// re-submissions. The executing replica also folds its own result into the
-// applied set so later replays skip it. The result is persisted before the
-// in-memory mark (and so before any reply built on it), keeping R1's
-// fixed-result promise across a crash directly after the reply.
-func (s *Server) finish(reqID string, res action.Value) {
-	s.mu.Lock()
-	st := s.active[reqID]
-	if st == nil || st.done {
-		s.mu.Unlock()
-		return
-	}
-	s.mu.Unlock()
-	s.persistFinish(reqID, res)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st.done = true
-	st.result = res
-	st.applied = true
 }

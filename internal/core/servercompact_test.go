@@ -39,6 +39,14 @@ func serverRecoveredState(l *wal.Log) srvState {
 		log:      l,
 	}
 	s.Recover()
+	return serverDurableState(s)
+}
+
+// serverDurableState projects a server onto the state its log must
+// rebuild: the recovered view above, or a live server's own.
+func serverDurableState(s *Server) srvState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	st := srvState{
 		Order:    append([]string(nil), s.order...),
 		Requests: make(map[string]srvReqState, len(s.active)),

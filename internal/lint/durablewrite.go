@@ -16,7 +16,7 @@ import (
 // tree is exactly that shape: mutate under the lock, release, persist
 // before the message that reveals the state goes out (internal/wal,
 // DESIGN.md §9). In-memory baselines (the paper's assumed crash-free
-// shared objects, the batched plane) escape with a reasoned //xvet:ok.
+// shared objects) escape with a reasoned //xvet:ok.
 // Markers are package-scoped: the fields are unexported, so marker and
 // write always share a package.
 var Durablewrite = &Analyzer{
