@@ -42,7 +42,7 @@ func newInner(t *testing.T, seed int64) *Cluster {
 		Setup: func(m *sm.Machine) {
 			mustNoErr(m.HandleIdempotent("reserve", func(ctx *sm.Ctx) action.Value {
 				// Non-deterministic reservation token: replicas must agree.
-				return action.Value(fmt.Sprintf("rsv-%x", ctx.Rand.Int63()))
+				return action.Value(fmt.Sprintf("rsv-%x", ctx.Rand.Int64()))
 			}))
 		},
 	})

@@ -693,9 +693,16 @@ func (s *Server) resumeOwnRound(od ownerDecision, round int) {
 		delete(s.inflight, key)
 		s.mu.Unlock()
 	}()
-	// The crash may have hit between the outcome decision and the reply:
-	// forward a fixed result rather than re-driving the round.
-	if v, ok := s.resultFixed(req); ok {
+	// The crash may have hit between the result decision and the reply:
+	// forward a fixed idempotent result rather than re-driving the round.
+	// A committed undoable round is not forwarded here: the crash may also
+	// have hit between the commit decision and the commit execution, and
+	// forwarding alone would answer the client with the transaction still
+	// uncommitted (found by the restart-random sweep, seed 415 of the
+	// math/rand v1 streams; pinned by TestResumeCommitsDecidedRound). The cleaning-mode coordination below
+	// learns the commit decision and executes the commit — a duplicate of
+	// one the old incarnation already ran collapses under rule 20.
+	if v, ok := s.resultFixed(req); ok && !s.mach.IsUndoable(req) {
 		s.finish(req.ID, v, -1)
 		s.ep.Send(od.Client, MsgResult, ResultPayload{ReqID: req.ID, Value: v})
 		return

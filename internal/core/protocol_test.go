@@ -44,7 +44,7 @@ func bankSetup(w *bankWorld) func(m *sm.Machine) {
 		mustNoErr(m.HandleIdempotent("token", func(ctx *sm.Ctx) action.Value {
 			// Non-deterministic: each execution draws a fresh token; the
 			// environment's resolve-once semantics fixes the first.
-			return action.Value(fmt.Sprintf("tok-%d", ctx.Rand.Int63()))
+			return action.Value(fmt.Sprintf("tok-%d", ctx.Rand.Int64()))
 		}))
 		mustNoErr(m.HandleUndoable("debit",
 			func(ctx *sm.Ctx) action.Value {
@@ -259,17 +259,24 @@ func TestActionFailuresRetryToSuccess(t *testing.T) {
 	tc.checkRun(t)
 }
 
+// TestCommitAndCancelFailuresRetry sweeps seeds: which attempts fail, and
+// so how the retried cancels and commits interleave, is seed-drawn, and a
+// single seed exercises only one of the shapes the checker must reduce.
 func TestCommitAndCancelFailuresRetry(t *testing.T) {
-	tc := newBankCluster(t, ClusterConfig{Replicas: 3, Seed: 9})
-	tc.Env.SetFailures(action.Commit("debit"), 0.8, 4, 0)
-	tc.Env.SetFailures(action.Cancel("debit"), 0.8, 4, 0)
-	tc.Env.SetFailures("debit", 0.6, 4, 0.5)
-	v := tc.Client.SubmitUntilSuccess(action.NewRequest("debit", "acct"))
-	if v != "debited" {
-		t.Fatalf("debit = %q", v)
+	for seed := int64(1); seed <= 64; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			tc := newBankCluster(t, ClusterConfig{Replicas: 3, Seed: seed})
+			tc.Env.SetFailures(action.Commit("debit"), 0.8, 4, 0)
+			tc.Env.SetFailures(action.Cancel("debit"), 0.8, 4, 0)
+			tc.Env.SetFailures("debit", 0.6, 4, 0.5)
+			v := tc.Client.SubmitUntilSuccess(action.NewRequest("debit", "acct"))
+			if v != "debited" {
+				t.Fatalf("debit = %q", v)
+			}
+			waitFor(t, 5*time.Second, func() bool { return tc.world.get("acct") == 90 })
+			tc.checkRun(t)
+		})
 	}
-	waitFor(t, 5*time.Second, func() bool { return tc.world.get("acct") == 90 })
-	tc.checkRun(t)
 }
 
 func TestResubmissionIsIdempotentR1(t *testing.T) {

@@ -40,7 +40,7 @@ package env
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 
 	"xability/internal/action"
@@ -116,7 +116,7 @@ type Env struct {
 func New(obs *trace.Observer, seed int64) *Env {
 	return &Env{
 		obs:       obs,
-		rng:       rand.New(rand.NewSource(seed)),
+		rng:       rand.New(rand.NewPCG(0, uint64(seed))),
 		resolved:  make(map[string]action.Value),
 		txs:       make(map[string]*tx),
 		applied:   make(map[string]int),

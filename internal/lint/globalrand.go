@@ -10,8 +10,9 @@ import (
 // position in one stream, so equal seeds stop implying equal draws the
 // moment scheduling varies. PR 5's byte-determinism work moved every draw
 // onto per-sender seeded *rand.Rand streams for exactly this reason;
-// methods on an explicit *rand.Rand (and the New/NewSource/NewZipf
-// constructors that build one) stay legal.
+// methods on an explicit *rand.Rand (and the constructors that build one:
+// v1's New/NewSource/NewZipf, v2's New/NewPCG/NewChaCha8/NewZipf) stay
+// legal.
 var Globalrand = &Analyzer{
 	Name: "globalrand",
 	Doc:  "no package-level math/rand functions; randomness must flow through seeded *rand.Rand streams",
@@ -20,9 +21,11 @@ var Globalrand = &Analyzer{
 
 // randConstructors build explicit seeded streams — the blessed pattern.
 var randConstructors = map[string]bool{
-	"New":       true,
-	"NewSource": true,
-	"NewZipf":   true,
+	"New":        true,
+	"NewSource":  true,
+	"NewZipf":    true,
+	"NewPCG":     true,
+	"NewChaCha8": true,
 }
 
 func runGlobalrand(pass *Pass) error {

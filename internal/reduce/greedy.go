@@ -242,7 +242,10 @@ func (n *Normalizer) cancelOnce(h event.History) (event.History, bool) {
 //   - dangler absorption: the attempt never completed (more starts than
 //     completions in the group); absorb the start alone into the next
 //     available pair. Only legal when starts exceed completions, otherwise
-//     it manufactures an orphan completion.
+//     it manufactures an orphan completion. The absorbed start is one the
+//     group's next event does not complete — another start of the group
+//     follows it first. The group's first start may already have completed;
+//     absorbing it would orphan its completion, a reduction dead end.
 //
 // Cancel-action groups only ever use dangler absorption: their complete
 // pairs are left for rule 19 to consume (one pair per cancelled attempt);
@@ -332,11 +335,20 @@ func (n *Normalizer) dedupOnce(h event.History) (event.History, bool) {
 			}
 		}
 
-		// Dangler absorption: the start at i alone, into the next pair.
+		// Dangler absorption: a start d followed in its group by another
+		// start k (so nothing completes d), absorbed alone into k's pair.
 		if starts > completions {
-			for k := i + 1; k < len(h); k++ {
-				if !h[k].Equal(event.S(a, iv)) {
+			for d := i; d < len(h); d++ {
+				if !h[d].Equal(event.S(a, iv)) {
 					continue
+				}
+				k := d + 1
+				for k < len(h) && !h[k].Equal(event.S(a, iv)) &&
+					!(h[k].Type == event.Complete && h[k].Action == a && replayBinds(h[k], iv)) {
+					k++
+				}
+				if k == len(h) || h[k].Type != event.Start {
+					continue // d completed (or is the last start): not a dangler
 				}
 				for l := k + 1; l < len(h); l++ {
 					if h[l].Type != event.Complete || h[l].Action != a {
@@ -345,15 +357,14 @@ func (n *Normalizer) dedupOnce(h event.History) (event.History, bool) {
 					if isReplay && !replayBinds(h[l], iv) {
 						continue
 					}
-					remove := rm(i, k, l)
-					if !commitClean(i, l, remove) {
+					remove := rm(d, k, l)
+					if !commitClean(d, l, remove) {
 						break
 					}
-					out := spliceAbsorb(h, i, l, remove, a, iv, h[l].Value, h[l].Annotation)
+					out := spliceAbsorb(h, d, l, remove, a, iv, h[l].Value, h[l].Annotation)
 					n.record(rule, fmt.Sprintf("absorb dangling start of (%s, %s)", a, action.Display(iv)), h, out)
 					return out, true
 				}
-				break // nearest following start only
 			}
 		}
 	}

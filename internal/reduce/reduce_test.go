@@ -580,3 +580,30 @@ func TestRuleString(t *testing.T) {
 		t.Error(Rule(7).String())
 	}
 }
+
+// TestDanglerAbsorptionSkipsCompletedStart pins a protocol history in which
+// injected failures make one round retry its cancel and its execution. The
+// cancel group's first start already completed when a later start dangles:
+// absorbing that first start would orphan its completion, so dangler
+// absorption must anchor on the start that another start follows.
+func TestDanglerAbsorptionSkipsCompletedStart(t *testing.T) {
+	reg := testRegistry(t)
+	n := New(reg)
+	r := action.NewRequest("debit", "acct").WithID("q").WithRound(1)
+	s, c := undoableEvents(r, "debited")
+	cs, cc := cancelPair(r)
+	ms, mc := commitPair(r)
+	hist := h(s, cs, cs, cc, s, cs, cs, cc, s, cs, cc, s, c, ms, mc)
+	spec, _ := SpecFor(reg, r)
+	res := n.Search(hist, func(x event.History) bool {
+		_, ok := MatchTarget(x, []TargetSpec{spec})
+		return ok
+	}, 0)
+	if !res.Found {
+		t.Fatal("search finds no reduction to the target")
+	}
+	ok, outs := n.XAbleTo(hist, []TargetSpec{spec})
+	if !ok || outs[0] != "debited" {
+		t.Errorf("greedy disagrees with search: got (%v, %v), want (true, [debited])", ok, outs)
+	}
+}

@@ -1,6 +1,23 @@
 package scenario
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
+
+// bytesPerRun is testing.AllocsPerRun for heap bytes: the average bytes
+// allocated per call of f, after one warm-up call, at GOMAXPROCS 1.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
 
 // TestNiceRunAllocBudget pins the whole pipeline's allocation bill: one
 // complete nice-scenario run — cluster construction, a request through the
@@ -81,5 +98,27 @@ func TestOpenLoopSessionAllocBudget(t *testing.T) {
 	if per := avg / float64(sessions); per > 65 {
 		t.Fatalf("open-loop batched run allocates %.1f objects per session (%.0f over %d sessions), budget 65",
 			per, avg, sessions)
+	}
+}
+
+// TestNiceRunBytesBudget pins the nice run's heap bytes, fresh and on a
+// reused network. Object counts cannot see the size of what is allocated:
+// a math/rand v1 source is one object of about 4.9 KB, and a v2 PCG source
+// one object of 16 bytes. Measured at ~21.1 KB fresh and ~16.8 KB reused
+// with PCG streams (~63 KB and ~38 KB with v1 sources). The headroom stays
+// under one v1 source, so any seeded stream that goes back to v1 fails here.
+func TestNiceRunBytesBudget(t *testing.T) {
+	sc, ok := Get("nice")
+	if !ok {
+		t.Fatal("nice not registered")
+	}
+	Execute(sc, 1)
+	if b := bytesPerRun(20, func() { Execute(sc, 2) }); b > 26_000 {
+		t.Errorf("nice run allocates %.0f bytes, budget 26000", b)
+	}
+	scratch := &runScratch{}
+	run(sc, 1, RunOptions{}, scratch)
+	if b := bytesPerRun(20, func() { run(sc, 2, RunOptions{}, scratch) }); b > 21_000 {
+		t.Errorf("reused-network nice run allocates %.0f bytes, budget 21000", b)
 	}
 }

@@ -2,7 +2,7 @@ package scenario
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"time"
 
 	"xability/internal/simnet"
@@ -106,7 +106,7 @@ func (o RandomOptions) crashBudget() int {
 // replica another op still severs.
 func (p *Plan) Random(seed int64, opt RandomOptions) *Plan {
 	opt = opt.withDefaults()
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewPCG(0, uint64(seed)))
 	crashed := make(map[int]map[int]bool) // group → crashed replicas
 	maxCrash := opt.crashBudget()
 
@@ -143,18 +143,18 @@ func (p *Plan) Random(seed int64, opt RandomOptions) *Plan {
 	}
 
 	for i := 0; i < opt.Ops; i++ {
-		g := rng.Intn(opt.Shards)
+		g := rng.IntN(opt.Shards)
 		if crashed[g] == nil {
 			crashed[g] = make(map[int]bool)
 		}
 		sub := NewPlan()
-		switch kind := rng.Intn(4); {
+		switch kind := rng.IntN(4); {
 		case kind == 0 && len(crashed[g]) < maxCrash:
 			// Crash a not-yet-crashed replica of group g. The claim spans
 			// crash→restart (crash→horizon when permanent): a restart
 			// auto-trusts the replica, which must not land inside another
 			// op's cut.
-			r := rng.Intn(opt.Replicas)
+			r := rng.IntN(opt.Replicas)
 			for crashed[g][r] {
 				r = (r + 1) % opt.Replicas
 			}
@@ -168,7 +168,7 @@ func (p *Plan) Random(seed int64, opt RandomOptions) *Plan {
 				// and verifiably back before settle. The replica stays in
 				// the crash budget (see Restarts), so the guard holds.
 				gap := opt.Horizon - ct
-				rt = ct + gap/4 + time.Duration(rng.Int63n(int64(gap/2)+1))
+				rt = ct + gap/4 + time.Duration(rng.Int64N(int64(gap/2)+1))
 				end = rt
 			}
 			if !free(g, r, ct, end) {
@@ -183,23 +183,23 @@ func (p *Plan) Random(seed int64, opt RandomOptions) *Plan {
 		case kind == 1:
 			// False-suspicion pulse: replicas (and sometimes the client)
 			// wrongly suspect a peer for a window, then recover.
-			ri := rng.Intn(opt.Replicas)
+			ri := rng.IntN(opt.Replicas)
 			start := at(0.6)
-			width := opt.Horizon/20 + time.Duration(rng.Int63n(int64(opt.Horizon)/4))
+			width := opt.Horizon/20 + time.Duration(rng.Int64N(int64(opt.Horizon)/4))
 			if !free(g, ri, start, start+width) {
 				continue
 			}
 			claim(g, ri, start, start+width)
 			r := simnet.ProcessID(fmt.Sprintf("replica-%d", ri))
 			sub.SuspectAt(start, r)
-			if rng.Intn(2) == 0 {
+			if rng.IntN(2) == 0 {
 				sub.ClientSuspectAt(start, r)
 			}
 			sub.UnsuspectAt(start+width, r)
 		case kind == 2:
 			// Delay storm window.
 			start := at(0.6)
-			width := opt.Horizon/20 + time.Duration(rng.Int63n(int64(opt.Horizon)/4))
+			width := opt.Horizon/20 + time.Duration(rng.Int64N(int64(opt.Horizon)/4))
 			factor := 2 + rng.Float64()*(opt.MaxStormFactor-2)
 			sub.DelayStormAt(start, width, factor)
 		default:
@@ -213,9 +213,9 @@ func (p *Plan) Random(seed int64, opt RandomOptions) *Plan {
 			// model's eventual-accuracy assumption, not test the
 			// protocol). Recovery lands strictly after the heal so the
 			// client never re-awaits a still-severed replica.
-			r := rng.Intn(opt.Replicas)
+			r := rng.IntN(opt.Replicas)
 			start := at(0.6)
-			width := opt.Horizon/20 + time.Duration(rng.Int63n(int64(opt.Horizon)/4))
+			width := opt.Horizon/20 + time.Duration(rng.Int64N(int64(opt.Horizon)/4))
 			// The claim runs through the post-heal recovery: the replica's
 			// detector state is this op's until the final unsuspect.
 			if !free(g, r, start, start+width+opt.Horizon/20) {

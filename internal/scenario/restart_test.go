@@ -162,3 +162,26 @@ func TestReplayAuditCountsRepeatedSubmissions(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeCommitsDecidedRound pins the resume path's commit duty. The
+// owner's round decides commit, but every commit attempt fails, and the
+// owner crashes inside its commit retries. It restarts before any cleaner
+// takes the round over. Recovery must not merely forward the fixed result:
+// nobody would ever commit the transaction, and the history would end
+// with an uncommitted execution that no reduction erases (found by the
+// restart-random sweep, seed 415 of the math/rand v1 streams).
+func TestResumeCommitsDecidedRound(t *testing.T) {
+	sc := Scenario{
+		Name:        "resume-commit",
+		Description: "owner crashes between the commit decision and a successful commit",
+		Consensus:   core.ConsensusCT,
+		Durable:     true,
+		Failures:    []Failure{{Action: "debit!commit", Prob: 1, Budget: 12}},
+		Plan:        NewPlan().CrashAt(1500*time.Microsecond, 0).RestartAt(1800*time.Microsecond, 0),
+		Settle:      20 * time.Millisecond,
+	}
+	o := Execute(sc, 1)
+	if !o.Replied || !o.XAble {
+		t.Fatalf("replied=%v x-able=%v, want both: %+v\n%v", o.Replied, o.XAble, o.Report, o.History)
+	}
+}

@@ -61,7 +61,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"runtime"
 	"strings"
 	"sync"
@@ -174,7 +174,8 @@ type Network struct {
 	// severs and co-seeds its auxiliary "/fd" and "/cons" endpoints.
 	bases   []ProcessID
 	baseIdx map[ProcessID]int32
-	streams []*rand.Rand // per-sender delay streams, by base index
+	srcs    []*rand.PCG  // per-sender delay-stream sources, reseeded by Reset
+	streams []*rand.Rand // per-sender delay streams over srcs, by base index
 
 	// Link fault plane.
 	delayScale float64           // storm multiplier on drawn delays (1 = calm)
@@ -228,8 +229,10 @@ func (n *Network) apply(cfg Config) {
 	n.replay = schedule.NewCursor(cfg.Replay)
 	n.metrics = cfg.Metrics
 	n.trace = cfg.Trace
+	// Reseeding a kept PCG source sets its 16-byte state in place: O(1)
+	// and allocation-free, so Reset costs no stream construction.
 	for i, base := range n.bases {
-		n.streams[i].Seed(streamSeed(cfg.Seed, base))
+		n.srcs[i].Seed(0, streamSeed(cfg.Seed, base))
 	}
 }
 
@@ -237,7 +240,7 @@ func (n *Network) apply(cfg Config) {
 // sender's base name. Mixing by name (not by registration index) keeps a
 // sender's delay sequence stable under deployments that register additional,
 // unrelated processes.
-func streamSeed(seed int64, base ProcessID) int64 {
+func streamSeed(seed int64, base ProcessID) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(base))
 	x := uint64(seed) ^ h.Sum64()
@@ -247,7 +250,7 @@ func streamSeed(seed int64, base ProcessID) int64 {
 	x ^= x >> 27
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
-	return int64(x)
+	return x
 }
 
 // baseOf strips the auxiliary-endpoint suffix from a process ID:
@@ -269,7 +272,9 @@ func (n *Network) ensureBaseLocked(base ProcessID) int32 {
 	b := int32(len(n.bases))
 	n.baseIdx[base] = b
 	n.bases = append(n.bases, base)
-	n.streams = append(n.streams, rand.New(rand.NewSource(streamSeed(n.cfg.Seed, base))))
+	src := rand.NewPCG(0, streamSeed(n.cfg.Seed, base))
+	n.srcs = append(n.srcs, src)
+	n.streams = append(n.streams, rand.New(src))
 	if n.partition != nil {
 		n.partition = append(n.partition, -1)
 	}
@@ -567,7 +572,7 @@ func (n *Network) drawDelayLocked(e, dst *Endpoint) time.Duration {
 		}
 	default:
 		if span > 0 {
-			d += time.Duration(n.streams[e.base].Int63n(int64(span)))
+			d += time.Duration(n.streams[e.base].Int64N(int64(span)))
 		}
 	}
 	if n.delayScale > 1 {

@@ -16,7 +16,7 @@ package sm
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 
 	"xability/internal/action"
@@ -70,7 +70,7 @@ func New(replica string, reg *action.Registry, e *env.Env, seed int64) *Machine 
 		replica:  replica,
 		reg:      reg,
 		env:      e,
-		rng:      rand.New(rand.NewSource(seed)),
+		rng:      rand.New(rand.NewPCG(0, uint64(seed))),
 		idem:     make(map[action.Name]Body),
 		undo:     make(map[action.Name]undoSpec),
 		possible: make(map[action.Name]func(iv, ov action.Value) bool),

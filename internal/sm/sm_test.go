@@ -191,7 +191,7 @@ func TestNonDeterminismIsSeeded(t *testing.T) {
 		obs := trace.New()
 		m := New("r", reg, env.New(obs, 1), seed)
 		_ = m.HandleIdempotent("rand", func(ctx *Ctx) action.Value {
-			return action.Value(rune('a' + ctx.Rand.Intn(26)))
+			return action.Value(rune('a' + ctx.Rand.IntN(26)))
 		})
 		v, _ := m.Execute(action.NewRequest("rand", action.Value(key)))
 		return v

@@ -54,7 +54,7 @@ func (b *Bank) Setup() func(m *sm.Machine) {
 			return action.Value(fmt.Sprintf("%d", b.balance[string(ctx.Req.Input)]))
 		}))
 		must(m.HandleIdempotent("token", func(ctx *sm.Ctx) action.Value {
-			return action.Value(fmt.Sprintf("tok-%x", ctx.Rand.Int63()))
+			return action.Value(fmt.Sprintf("tok-%x", ctx.Rand.Int64()))
 		}))
 		must(m.HandleUndoable("debit",
 			func(ctx *sm.Ctx) action.Value {

@@ -3,7 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"sort"
 	"time"
 
@@ -81,7 +81,7 @@ func (s OpenLoopSpec) withDefaults() OpenLoopSpec {
 // Zipf popularity law, actions from the mix, in nondecreasing time order.
 func GenerateOpenLoop(spec OpenLoopSpec, seed int64) []Arrival {
 	spec = spec.withDefaults()
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewPCG(0, uint64(seed)))
 	var zipf *rand.Zipf
 	if spec.ZipfS > 1 {
 		zipf = rand.NewZipf(rng, spec.ZipfS, 1, uint64(spec.Accounts-1))
@@ -106,12 +106,12 @@ func GenerateOpenLoop(spec OpenLoopSpec, seed int64) []Arrival {
 		if zipf != nil {
 			acct = int(zipf.Uint64())
 		} else {
-			acct = rng.Intn(spec.Accounts)
+			acct = rng.IntN(spec.Accounts)
 		}
-		client := rng.Intn(spec.Clients)
+		client := rng.IntN(spec.Clients)
 		input := action.Value(fmt.Sprintf("acct-%d", acct))
 		var req action.Request
-		pick := rng.Intn(total)
+		pick := rng.IntN(total)
 		switch {
 		case pick < spec.Mix.Reads:
 			req = action.NewRequest("read", input)

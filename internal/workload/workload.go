@@ -8,7 +8,7 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"time"
 
 	"xability/internal/action"
@@ -49,7 +49,7 @@ type Request struct {
 
 // Generate produces the request sequence for a spec.
 func Generate(spec Spec, seed int64) []action.Request {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewPCG(0, uint64(seed)))
 	if spec.Requests <= 0 {
 		spec.Requests = 10
 	}
@@ -63,8 +63,8 @@ func Generate(spec Spec, seed int64) []action.Request {
 	}
 	out := make([]action.Request, 0, spec.Requests)
 	for i := 0; i < spec.Requests; i++ {
-		acct := action.Value(fmt.Sprintf("acct-%d", rng.Intn(spec.Accounts)))
-		pick := rng.Intn(total)
+		acct := action.Value(fmt.Sprintf("acct-%d", rng.IntN(spec.Accounts)))
+		pick := rng.IntN(total)
 		switch {
 		case pick < spec.Mix.Reads:
 			out = append(out, action.NewRequest("read", acct))
